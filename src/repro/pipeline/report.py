@@ -32,14 +32,16 @@ def outcome_fingerprint(outcome) -> str:
     G-code text and the firmware counters - enough that two runs with
     equal fingerprints produced the same physical print.  Arrays are
     hashed as canonical little-endian buffers (shape included), like
-    :func:`repro.mesh.content_hash.mesh_digest`.
+    :func:`repro.mesh.content_hash.mesh_digest`; the grids go to the
+    hash through a memoryview of the contiguous buffer, not a
+    ``tobytes()`` copy.
     """
     h = hashlib.sha256()
     artifact = outcome.artifact
     for grid in (artifact.model, artifact.support, artifact.weak, artifact.voids):
         a = np.ascontiguousarray(grid, dtype="<u1")
         h.update(np.array(a.shape, dtype="<i8").tobytes())
-        h.update(a.tobytes())
+        h.update(memoryview(a))
     h.update(np.asarray(
         [artifact.cell_mm, artifact.layer_height_mm], dtype="<f8"
     ).tobytes())

@@ -165,12 +165,126 @@ class GCodeProgram:
         return len(self.text.encode())
 
 
+_HEADER = (
+    "; repro ObfusCADe G-code",
+    "G21 ; millimetres",
+    "G90 ; absolute positioning",
+    "M82 ; absolute extrusion",
+    "T0",
+)
+_FOOTER = ("M104 S0 ; cool down", "M140 S0")
+
+
+def _move_lengths(step: np.ndarray) -> np.ndarray:
+    """Row lengths of ``step``, bit-identical to ``np.linalg.norm`` of
+    each row: ``vecdot`` runs the same BLAS dot product (a plain
+    ``x*x + y*y`` differs in the last bit)."""
+    return np.sqrt(np.vecdot(step, step))
+
+
+def _parse(words: List[str]) -> np.ndarray:
+    """Float64 values of formatted words (exactly what a parser reads)."""
+    return np.fromiter(map(float, words), dtype=np.float64, count=len(words))
+
+
 def generate_gcode(
     layers: Iterable[ToolpathLayer],
     travel_feedrate: float = 6000.0,
     print_feedrate: float = 2400.0,
 ) -> GCodeProgram:
-    """Emit G-code for a list of tool-path layers."""
+    """Emit G-code for a list of tool-path layers.
+
+    Array-first: every path's vertex sequence (closed paths repeat
+    their first vertex) is gathered into one array, so segment lengths
+    and the running E axis come from one ``np.cumsum`` over the whole
+    program.  Each coordinate is formatted once; the text line and the
+    :class:`MoveTable` column are both derived from that one string.
+    Byte-identical text and bit-identical table to the per-move loop
+    :func:`_generate_gcode_loop`, kept as the oracle.
+    """
+    layers = list(layers)
+    travel_word = f"F{travel_feedrate:.0f}"
+    print_word = f"F{print_feedrate:.0f}"
+    travel_f = float(travel_word[1:])
+    print_f = float(print_word[1:])
+
+    # Vertex rows: each path's points, closed paths repeating their
+    # first point.  A path's first row is its G0 travel, the rest G1.
+    seqs: List[np.ndarray] = []
+    tools: List[int] = []
+    for layer in layers:
+        for path in layer.paths:
+            pts = path.points
+            seqs.append(np.concatenate([pts, pts[:1]]) if path.closed else pts)
+            tools.append(0 if path.material is ToolMaterial.MODEL else 1)
+    counts = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    verts = np.concatenate(seqs) if seqs else np.empty((0, 2))
+    starts = np.zeros(len(verts), dtype=bool)
+    starts[np.cumsum(counts) - counts] = True
+    extrude = ~starts
+    step = np.diff(verts, axis=0, prepend=verts[:1])[extrude]
+    e_axis = np.cumsum(_move_lengths(step) * _E_PER_MM)
+
+    x_words = [f"{v:.4f}" for v in verts[:, 0].tolist()]
+    y_words = [f"{v:.4f}" for v in verts[:, 1].tolist()]
+    e_words = [f"{v:.5f}" for v in e_axis.tolist()]
+    g1_lines = [
+        f"G1 X{x_words[k]} Y{y_words[k]} E{e} {print_word}"
+        for k, e in zip(np.flatnonzero(extrude).tolist(), e_words)
+    ]
+
+    # The text in program order, noting where each layer's G0 Z row
+    # goes among the vertex rows and which tool is current there.
+    lines = list(_HEADER)
+    z_words: List[str] = []
+    layer_rows: List[int] = []
+    layer_tools: List[int] = []
+    current_tool = 0
+    ip = row = g1 = 0  # path, vertex row and G1 line cursors
+    for layer in layers:
+        z_word = f"{layer.z:.4f}"
+        z_words.append(z_word)
+        layer_rows.append(row)
+        layer_tools.append(current_tool)
+        lines.append(f"; layer z={z_word}")
+        lines.append(f"G0 Z{z_word} {travel_word}")
+        for _ in layer.paths:
+            if tools[ip] != current_tool:
+                current_tool = tools[ip]
+                lines.append(f"T{current_tool}")
+            lines.append(f"G0 X{x_words[row]} Y{y_words[row]} {travel_word}")
+            n_g1 = int(counts[ip]) - 1
+            lines.extend(g1_lines[g1:g1 + n_g1])
+            g1 += n_g1
+            row += n_g1 + 1
+            ip += 1
+    lines.extend(_FOOTER)
+
+    # Columns: the vertex rows, with each layer's G0 Z row inserted.
+    e_col = np.full(len(verts), math.nan)
+    e_col[extrude] = _parse(e_words)
+    columns = {
+        "command": (extrude.astype(np.uint8), 0),
+        "x": (_parse(x_words), math.nan),
+        "y": (_parse(y_words), math.nan),
+        "z": (np.full(len(verts), math.nan), _parse(z_words)),
+        "e": (e_col, math.nan),
+        "feedrate": (np.where(starts, travel_f, print_f), travel_f),
+        "tool": (np.repeat(np.array(tools, dtype=np.int8), counts), layer_tools),
+    }
+    table = MoveTable(**{
+        name: np.insert(vertex_col, layer_rows, layer_col)
+        for name, (vertex_col, layer_col) in columns.items()
+    })
+    return GCodeProgram(lines=lines, moves=table)
+
+
+def _generate_gcode_loop(
+    layers: Iterable[ToolpathLayer],
+    travel_feedrate: float = 6000.0,
+    print_feedrate: float = 2400.0,
+) -> GCodeProgram:
+    """Scalar oracle for :func:`generate_gcode` (one move at a time)."""
     lines = [
         "; repro ObfusCADe G-code",
         "G21 ; millimetres",

@@ -9,6 +9,7 @@ looks for (Table 1).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -109,19 +110,18 @@ def slice_mesh(
     return SliceResult(layers=layers, settings=settings)
 
 
-def _plane_segments(
-    tris: np.ndarray, z: float
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _plane_segments(tris: np.ndarray, z: float) -> np.ndarray:
     """All triangle intersection segments with the plane at height ``z``.
 
     Vectorized equivalent of calling
     :meth:`~repro.geometry.plane.Plane.intersect_triangle` on each
     triangle of ``tris`` (shape ``(n, 3, 3)``) in order: the same
     formulas run on the same float64 values, so the emitted 2D segments
-    are bit-identical to the scalar loop's.
+    are bit-identical to the scalar loop's.  Returns an ``(m, 2, 2)``
+    array; ``[k, 0]`` -> ``[k, 1]`` is segment ``k``.
     """
     if len(tris) == 0:
-        return []
+        return np.empty((0, 2, 2))
     d = tris[:, :, 2] - z  # signed distance to a horizontal plane
     on = np.abs(d) < EPS
     pts = np.empty_like(tris)
@@ -154,16 +154,104 @@ def _plane_segments(
     kept = keep[rows]
     first = kept.argmax(axis=1)
     last = 2 - kept[:, ::-1].argmax(axis=1)
-    a2 = pts[rows, first, :2]
-    b2 = pts[rows, last, :2]
-    return [(a2[k], b2[k]) for k in range(len(rows))]
+    return np.stack([pts[rows, first, :2], pts[rows, last, :2]], axis=1)
 
 
 def chain_segments(
+    segments: np.ndarray,
+) -> Tuple[List[Polygon2], List[np.ndarray]]:
+    """Chain 2D segments into closed contours and open polylines.
+
+    ``segments`` is an ``(n, 2, 2)`` array as :func:`_plane_segments`
+    returns it (a list of point pairs works too).  All endpoints are
+    snapped once onto the ``_CHAIN_TOL`` grid and grouped by grid key;
+    chains are then walked on integer endpoint ids (``2 * segment +
+    end``), with a per-key cursor past already used segments.  Walk
+    order (first unused incident segment, forward then backward) and
+    the float closure test are those of :func:`_chain_segments_loop`,
+    kept as the oracle, so contours and open paths are identical.
+    """
+    seg = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
+    n = len(seg)
+    if n == 0:
+        return [], []
+    lengths = np.linalg.norm(seg[:, 1] - seg[:, 0], axis=1)
+    live = ~(lengths < _CHAIN_TOL)  # zero-length slivers chain to nothing
+    ends = seg.reshape(-1, 2)
+    # np.round applies the same round-half-even rule as the oracle's key().
+    keys = np.round(ends / _CHAIN_TOL).astype(np.int64)
+    # Live endpoint ids grouped by grid key; ascending id within a key
+    # is the oracle's insertion order (segment order, head before tail).
+    eids = np.flatnonzero(np.repeat(live, 2))
+    incident = eids[np.lexsort((eids, keys[eids, 1], keys[eids, 0]))]
+    k = keys[incident]
+    new_key = np.ones(len(incident), dtype=bool)
+    new_key[1:] = (k[1:] != k[:-1]).any(axis=1)
+    group_start = np.flatnonzero(new_key)
+    group_of = np.zeros(2 * n, dtype=np.intp)
+    group_of[incident] = np.cumsum(new_key) - 1
+
+    incident_l = incident.tolist()
+    group_l = group_of.tolist()
+    cursor = group_start.tolist()  # no unused segment before the cursor
+    group_end = group_start[1:].tolist() + [len(incident)]
+    xs, ys = ends[:, 0].tolist(), ends[:, 1].tolist()
+    used = [False] * n
+
+    contours: List[Polygon2] = []
+    open_paths: List[np.ndarray] = []
+    for start in range(n):
+        if used[start]:
+            continue
+        used[start] = True
+        if not live[start]:
+            continue
+        chain = deque((2 * start, 2 * start + 1))
+        closed = False
+        # Extend forward from the tail, then (if open) backward from head.
+        for forward in (True, False):
+            tip, other = (chain[-1], chain[0]) if forward else (chain[0], chain[-1])
+            grow = chain.append if forward else chain.appendleft
+            ox, oy = xs[other], ys[other]
+            while not closed:
+                # First unused segment incident at the tip's grid key.
+                g = group_l[tip]
+                c, stop = cursor[g], group_end[g]
+                while c < stop and used[incident_l[c] >> 1]:
+                    c += 1
+                cursor[g] = c
+                if c == stop:
+                    break
+                used[incident_l[c] >> 1] = True
+                tip = incident_l[c] ^ 1  # the segment's far endpoint
+                grow(tip)
+                # The oracle's closure test, behind an exact cheap reject
+                # (the norm is at least the larger coordinate gap).
+                if (
+                    len(chain) > 3
+                    and abs(xs[tip] - ox) < 2 * _CHAIN_TOL
+                    and abs(ys[tip] - oy) < 2 * _CHAIN_TOL
+                ):
+                    closed = bool(
+                        np.linalg.norm(ends[chain[-1]] - ends[chain[0]]) < _CHAIN_TOL
+                    )
+        pts = ends[np.fromiter(chain, dtype=np.intp, count=len(chain))]
+        if closed:
+            ring = pts[:-1]
+            if len(ring) >= 3:
+                poly = _try_polygon(ring)
+                if poly is not None:
+                    contours.append(poly)
+                    continue
+        open_paths.append(pts)
+    return contours, open_paths
+
+
+def _chain_segments_loop(
     segments: List[Tuple[np.ndarray, np.ndarray]]
 ) -> Tuple[List[Polygon2], List[np.ndarray]]:
-    """Chain 2D segments into closed contours and open polylines."""
-    if not segments:
+    """Scalar oracle for :func:`chain_segments` (tuple-keyed endpoint map)."""
+    if len(segments) == 0:
         return [], []
 
     # Snap endpoints onto a grid so shared vertices hash identically.

@@ -12,6 +12,7 @@ import pytest
 from repro.cad import (
     COARSE,
     FINE,
+    custom_resolution,
     BaseExtrudeFeature,
     BasePrismFeature,
     CadModel,
@@ -96,6 +97,26 @@ def split_coarse_xz(print_job, split_bar):
 @pytest.fixture(scope="session")
 def split_fine_xy(print_job, split_bar):
     return print_job.print_model(split_bar, FINE, PrintOrientation.XY)
+
+
+@pytest.fixture(scope="session")
+def split_bar_build_meshes(split_bar):
+    """The split bar as the chain slices it, for every resolution x
+    orientation: tessellated, coincident faces resolved, placed on the
+    plate with a 10 mm margin.  Keyed ``(resolution, orientation)``,
+    e.g. ``("Coarse", "x-y")``."""
+    from repro.printer.orientation import place_on_plate
+    from repro.slicer.coincident import resolve_coincident_faces
+
+    meshes = {}
+    for resolution in (COARSE, FINE, custom_resolution()):
+        resolved = resolve_coincident_faces(split_bar.export_stl(resolution).mesh)
+        for orientation in PrintOrientation:
+            placed = place_on_plate([resolved], orientation)[0]
+            meshes[(resolution.name, orientation.value)] = placed.translated(
+                np.array([10.0, 10.0, 0.0])
+            )
+    return meshes
 
 
 @pytest.fixture(scope="session")

@@ -137,6 +137,37 @@ class TestUniqueLayers:
             # restores the stack.
             np.testing.assert_array_equal(stack[first][inverse], stack)
 
+    @pytest.mark.parametrize(
+        "nz, ny, nx, n_distinct",
+        [
+            (18, 385, 2304, 4),  # x-y stacks: a few repeated cross-sections
+            (107, 68, 2304, 100),  # x-z stacks: most layers differ
+            (9, 37, 45, 3),  # bit rows that do not fill whole bytes
+        ],
+    )
+    def test_matches_loop_oracle_at_deposition_shapes(self, nz, ny, nx, n_distinct):
+        """The real stack shapes: each layer is ~110 kB once packed."""
+        from repro.printer.deposition import (
+            _unique_layers,
+            _unique_layers_loop,
+        )
+
+        rng = np.random.default_rng(nz * ny)
+        pool = np.zeros((n_distinct, ny, nx), dtype=bool)
+        for k in range(n_distinct - 1):
+            pool[k, 2 + k % 5 : ny - 3, 4 : nx - 1 - k % 7] = True
+            pool[k, 0, k] = True  # every pattern distinct
+        # The last pattern differs from the first only in its last cell.
+        pool[-1] = pool[0]
+        pool[-1, -1, -1] = True
+        stack = pool[rng.integers(0, n_distinct, size=nz)]
+        first, inverse = _unique_layers(stack)
+        first_ref, inverse_ref = _unique_layers_loop(stack)
+        np.testing.assert_array_equal(first, first_ref)
+        np.testing.assert_array_equal(inverse, inverse_ref)
+        assert first.dtype == first_ref.dtype == inverse.dtype == np.intp
+        np.testing.assert_array_equal(stack[first][inverse], stack)
+
     def test_first_occurrence_order(self):
         from repro.printer.deposition import _unique_layers
 

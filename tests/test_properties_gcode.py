@@ -4,9 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.slicer.gcode import generate_gcode, parse_gcode, toolpath_statistics
+from repro.slicer.gcode import (
+    _generate_gcode_loop,
+    generate_gcode,
+    parse_gcode,
+    toolpath_statistics,
+)
 from repro.slicer.reverse import reconstruct_layers
-from repro.slicer.toolpath import Path, PathRole, ToolpathLayer
+from repro.slicer.toolpath import Path, PathRole, ToolMaterial, ToolpathLayer
+from test_slicer_gcode import assert_same_program
 
 coord = st.floats(min_value=0.0, max_value=200.0, allow_nan=False)
 
@@ -74,3 +80,29 @@ class TestGcodeRoundtrip:
             for loop in layer.loops:
                 total_out += loop.perimeter
         assert np.isclose(total_out, total_in, rtol=1e-3, atol=0.1)
+
+
+@st.composite
+def mixed_layer_lists(draw):
+    """Layer lists with closed paths, support material and empty layers."""
+    layers = draw(toolpath_layer_lists())
+    for layer in layers:
+        for path in layer.paths:
+            path.closed = draw(st.booleans())
+            if draw(st.booleans()):
+                path.material = ToolMaterial.SUPPORT
+    if draw(st.booleans()):
+        layers.insert(draw(st.integers(0, len(layers))), ToolpathLayer(z=0.1))
+    return layers
+
+
+class TestScalarOracle:
+    @given(toolpath_layer_lists())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_on_open_paths(self, layers):
+        assert_same_program(generate_gcode(layers), _generate_gcode_loop(layers))
+
+    @given(mixed_layer_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_on_mixed_layers(self, layers):
+        assert_same_program(generate_gcode(layers), _generate_gcode_loop(layers))

@@ -159,3 +159,68 @@ class TestMoveTable:
         back = unpack_gcode(pack_gcode(prog))
         assert back.lines == prog.lines
         assert back.moves is None
+
+
+def assert_same_program(fast, slow):
+    """Identical text; move-table columns equal bit for bit (NaN-aware:
+    the raw bytes are compared, so NaN words must match too)."""
+    assert fast.lines == slow.lines
+    for name, column in fast.moves.to_columns().items():
+        ref = getattr(slow.moves, name)
+        assert column.dtype == ref.dtype, name
+        assert column.shape == ref.shape, name
+        assert column.tobytes() == ref.tobytes(), name
+
+
+class TestScalarOracle:
+    """The array-first generate_gcode == the per-move loop it replaced."""
+
+    @pytest.fixture(scope="class")
+    def real_toolpaths(self, split_bar_build_meshes):
+        from repro.printer.deposition import DepositionSimulator
+        from repro.printer.machines import DIMENSION_ELITE
+        from repro.slicer.slicer import slice_mesh
+        from repro.slicer.toolpath import generate_toolpaths
+
+        settings = DepositionSimulator(DIMENSION_ELITE).settings
+        return {
+            cell: generate_toolpaths(slice_mesh(mesh, settings), settings)
+            for cell, mesh in split_bar_build_meshes.items()
+        }
+
+    @pytest.mark.parametrize("resolution", ["Coarse", "Fine", "Custom"])
+    @pytest.mark.parametrize("orientation", ["x-y", "x-z", "y-z"])
+    def test_real_toolpaths(self, real_toolpaths, resolution, orientation):
+        from repro.slicer.gcode import _generate_gcode_loop
+
+        layers = real_toolpaths[(resolution, orientation)]
+        assert any(path.closed for layer in layers for path in layer.paths)
+        assert_same_program(generate_gcode(layers), _generate_gcode_loop(layers))
+
+    def test_tool_changes_and_closed_paths(self, simple_layers):
+        from repro.slicer.gcode import _generate_gcode_loop
+
+        # Support first, an empty layer, then model: tool changes at a
+        # layer's first path and across an empty layer.
+        layers = simple_layers[::-1] + [ToolpathLayer(z=0.6)] + simple_layers
+        prog = generate_gcode(layers, travel_feedrate=4500.4, print_feedrate=1800.6)
+        assert_same_program(prog, _generate_gcode_loop(
+            layers, travel_feedrate=4500.4, print_feedrate=1800.6
+        ))
+        assert "T1" in prog.lines and "T0" in prog.lines[5:]
+
+    def test_move_lengths_match_scalar_norm(self):
+        """The E axis integrates these; the loop took one norm per move."""
+        from repro.slicer.gcode import _move_lengths
+
+        rng = np.random.default_rng(7)
+        step = np.diff(rng.random((20000, 2)) * 200.0, axis=0)
+        step[::97] *= 1e-6
+        scalar = np.array([np.linalg.norm(row) for row in step])
+        assert _move_lengths(step).tobytes() == scalar.tobytes()
+
+    def test_empty_program(self):
+        from repro.slicer.gcode import _generate_gcode_loop
+
+        for layers in ([], [ToolpathLayer(z=0.2)]):
+            assert_same_program(generate_gcode(layers), _generate_gcode_loop(layers))
