@@ -6,13 +6,9 @@ vertex-placement strategy removes the mismatch - and with it the
 x-y defect signal - demonstrating the mechanism is tessellation
 independence, not the split itself.
 
-A second ablation targets the *scheduler's* sharing: a cold sweep over
-the same model with and without stage-granular node dedup.  With dedup
-the merged execution graph schedules orientation-independent stages
-once per resolution fleet-wide; without it (the legacy cell-granular
-plan) every cell gets its own node and only the shared cache prevents
-recompute.  Artifacts must be bit-identical either way - the dedup is
-purely a scheduling property.
+A cold sweep over the same model then shows the *scheduler's*
+sharing: orientation-independent stages are scheduled once per
+resolution, not once per cell.
 """
 
 import time
@@ -66,30 +62,21 @@ def run(split_bar_unused=None):
     return rows
 
 
-def run_scheduler_ablation():
-    """Cold sweep wall-clock with and without stage-granular dedup."""
-    model = build(False)
-    rows = []
-    for dedupe in (True, False):
-        start = time.perf_counter()
-        sweep_report = ParallelSweep(dedupe=dedupe).run(
-            model, SWEEP_RESOLUTIONS, SWEEP_ORIENTATIONS
-        )
-        rows.append(
-            {
-                "dedupe": dedupe,
-                "wall_s": time.perf_counter() - start,
-                "fingerprints": [c.fingerprint for c in sweep_report.cells],
-                "scheduler": sweep_report.scheduler,
-                "stats": sweep_report.stats,
-            }
-        )
-    return rows
+def run_scheduler_sweep():
+    """Cold sweep wall-clock and node counters on the fleet scheduler."""
+    start = time.perf_counter()
+    sweep_report = ParallelSweep().run(
+        build(False), SWEEP_RESOLUTIONS, SWEEP_ORIENTATIONS
+    )
+    return {
+        "wall_s": time.perf_counter() - start,
+        "scheduler": sweep_report.scheduler,
+    }
 
 
 def test_ablation_shared_tessellation(benchmark, report):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    sched_rows = run_scheduler_ablation()
+    sched = run_scheduler_sweep()
 
     lines = [
         f"{'tessellation':14s} {'max gap (mm)':>13s} {'bonded':>8s} "
@@ -105,15 +92,13 @@ def test_ablation_shared_tessellation(benchmark, report):
         f"cold {len(SWEEP_RESOLUTIONS)}x{len(SWEEP_ORIENTATIONS)} sweep, "
         "stage-granular scheduler:"
     )
-    for r in sched_rows:
-        mode = "dedup on " if r["dedupe"] else "dedup off"
-        totals = r["scheduler"]
-        lines.append(
-            f"  {mode}: {r['wall_s']:6.2f} s  "
-            f"(scheduled {totals.total_scheduled}, "
-            f"deduped {totals.total_deduped}, "
-            f"executed {totals.total_executed})"
-        )
+    totals = sched["scheduler"]
+    lines.append(
+        f"  {sched['wall_s']:6.2f} s  "
+        f"(scheduled {totals.total_scheduled}, "
+        f"deduped {totals.total_deduped}, "
+        f"executed {totals.total_executed})"
+    )
     report("Ablation shared tessellation", lines)
 
     independent, shared = rows
@@ -124,19 +109,8 @@ def test_ablation_shared_tessellation(benchmark, report):
     assert shared["max_gap_mm"] < 1e-6
     assert not shared["prints_defect_xy"]
 
-    with_dedupe, without_dedupe = sched_rows
-    # Scheduling granularity never changes the artifacts...
-    assert with_dedupe["fingerprints"] == without_dedupe["fingerprints"]
-    # ...but with dedup the shared stages execute once per resolution
-    # fleet-wide, while the ablation executes one node per cell and
-    # leans on the cache (legacy accounting: misses per resolution,
-    # hits for the rest).
+    # The shared stages execute once per resolution, not per cell.
     n_cells = len(SWEEP_RESOLUTIONS) * len(SWEEP_ORIENTATIONS)
-    tess = with_dedupe["scheduler"].stages["tessellate"]
+    tess = sched["scheduler"].stages["tessellate"]
     assert tess.scheduled == tess.executed == len(SWEEP_RESOLUTIONS)
     assert tess.deduped == n_cells - len(SWEEP_RESOLUTIONS)
-    ablated = without_dedupe["scheduler"].stages["tessellate"]
-    assert ablated.scheduled == ablated.executed == n_cells
-    assert without_dedupe["stats"].stages["tessellate"].hits == (
-        n_cells - len(SWEEP_RESOLUTIONS)
-    )

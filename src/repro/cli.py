@@ -137,21 +137,6 @@ def _sweep_executor_parent() -> argparse.ArgumentParser:
         "recovery); requires --journal or --cache-dir",
     )
     parent.add_argument(
-        "--no-dedupe",
-        action="store_true",
-        help="plan one node per cell per stage instead of scheduling "
-        "shared upstream stages once fleet-wide (scheduler ablation "
-        "baseline; results are identical)",
-    )
-    parent.add_argument(
-        "--shm",
-        action="store_true",
-        help="share cache .npy segments between workers through POSIX "
-        "shared memory (one physical mapping per machine instead of "
-        "one per process; segments are digest-verified on attach and "
-        "reaped on pool rebuilds and at run end)",
-    )
-    parent.add_argument(
         "--stats",
         action="store_true",
         help="print per-stage timings, cache hit rates, scheduler "
@@ -201,12 +186,6 @@ def _validate_executor_args(args):
         if args.max_retries
         else None
     )
-    if getattr(args, "shm", False):
-        # Workers inherit the environment, so flipping the switch here
-        # enables the tier in the whole pool.
-        from repro.pipeline import shm as shm_tier
-
-        os.environ[shm_tier.SHM_ENV] = "1"
     return cache_dir, journal, retry
 
 
@@ -240,8 +219,6 @@ def _write_sweep_manifest(
         "cell_timeout_s": args.cell_timeout,
         "keep_going": args.keep_going,
         "resume": args.resume,
-        "dedupe": not args.no_dedupe,
-        "shm": bool(getattr(args, "shm", False)),
     }
     config.update(extra_config or {})
     doc = manifest_mod.sweep_manifest(
@@ -544,7 +521,6 @@ def _cmd_attack(args) -> int:
         keep_going=args.keep_going,
         journal_path=journal,
         resume=args.resume,
-        dedupe=not args.no_dedupe,
     )
     tracer = _install_observability(args)
     try:
@@ -604,18 +580,10 @@ def _cmd_sweep(args) -> int:
 
     protected = Obfuscator(seed=args.seed).protect_tensile_bar()
     print(f"sweeping: {protected.describe()}")
-    if cache_dir is not None and args.jobs == 1:
-        from repro.pipeline import DiskStageCache
-
-        chain = ProcessChain(
-            machine=_MACHINES[args.machine], cache=DiskStageCache(cache_dir)
-        )
-    else:
-        chain = ProcessChain(machine=_MACHINES[args.machine])
     sim = CounterfeiterSimulator(
         resolutions=resolutions,
         orientations=orientations,
-        chain=chain,
+        chain=ProcessChain(machine=_MACHINES[args.machine]),
         jobs=args.jobs,
         cache_dir=cache_dir,
         retry=retry,
@@ -623,7 +591,6 @@ def _cmd_sweep(args) -> int:
         keep_going=args.keep_going,
         journal_path=journal,
         resume=args.resume,
-        dedupe=not args.no_dedupe,
     )
     tracer = _install_observability(args)
     try:
@@ -714,9 +681,6 @@ def _cmd_serve(args) -> int:
                   f"positive weight, got {spec!r}", file=sys.stderr)
             return 2
         tenant_weights[tenant] = parsed
-    if args.no_dedupe:
-        print("note: the fleet scheduler always dedupes shared nodes; "
-              "--no-dedupe only affects the sweep command")
     cache_dir, _journal, retry = validated
     tmp = None
     if cache_dir is None:

@@ -1,10 +1,10 @@
 """One boolean parser for every ``OBFUSCADE_*`` environment switch.
 
-The repo grew environment toggles one at a time (``OBFUSCADE_SHM``,
-``OBFUSCADE_FAULTS``, ``OBFUSCADE_BENCH_SMOKE``), and each invented its
-own truthiness test.  The worst of them treated *any* value except
-``""``/``"0"`` as on - so ``OBFUSCADE_SHM=false`` silently enabled the
-shared-memory tier (ISSUE 9 bugfix).  All switches now parse through
+The repo grew environment toggles one at a time (``OBFUSCADE_FAULTS``,
+``OBFUSCADE_BENCH_SMOKE``, and a since-removed shared-memory switch),
+and each invented its own truthiness test.  The worst of them treated
+*any* value except ``""``/``"0"`` as on - so ``=false`` silently
+enabled a feature.  All switches now parse through
 :func:`env_flag`:
 
 * ``1`` / ``true`` / ``yes`` / ``on``  -> ``True``

@@ -237,7 +237,7 @@ def validate_manifest(manifest: Dict[str, Any]) -> List[str]:
         if not isinstance(scheduler, dict):
             problems.append("'scheduler' must be a dict")
         else:
-            for key in ("dedupe", "stages", "totals"):
+            for key in ("stages", "totals"):
                 if key not in scheduler:
                     problems.append(f"scheduler missing {key!r}")
             for name, entry in (scheduler.get("stages") or {}).items():

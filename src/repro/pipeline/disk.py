@@ -52,7 +52,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro import faults
 from repro import observability as obs
 from repro.pipeline import payload
-from repro.pipeline import shm as shm_tier
 from repro.pipeline.cache import StageCache
 from repro.pipeline.resilience import CacheIntegrityError
 from repro.supplychain.integrity import file_digest
@@ -91,14 +90,6 @@ class DiskStageCache(StageCache):
         self.root.mkdir(parents=True, exist_ok=True)
         #: Per-stage count of hits served from disk (not memory).
         self.disk_hits: Dict[str, int] = {}
-        #: Optional shared-memory segment tier (``OBFUSCADE_SHM=1``):
-        #: the first process to read a segment publishes it; others
-        #: attach the same physical pages instead of re-mapping disk.
-        self._shm = (
-            shm_tier.SharedSegmentStore(self.root / shm_tier.REGISTRY_NAME)
-            if shm_tier.shm_enabled()
-            else None
-        )
 
     def _path(self, stage_name: str, key: str) -> Path:
         return self.root / stage_name / f"{key}.pkl"
@@ -176,25 +167,15 @@ class DiskStageCache(StageCache):
                 raise CacheIntegrityError(
                     str(seg), "segment digest sidecar missing"
                 ) from exc
-            array = None
-            if self._shm is not None:
-                # Shared tier first: attach verifies block bytes against
-                # the same digest the sidecar carries, so a poisoned
-                # block degrades to the disk path, never gets served.
-                array = self._shm.attach(expected)
-            if array is None:
-                actual = payload.hash_file(seg)
-                if actual != expected:
-                    raise CacheIntegrityError(
-                        str(seg),
-                        f"segment sha256 mismatch "
-                        f"(expected {expected[:12]}..., "
-                        f"got {actual[:12]}...)",
-                    )
-                if self._shm is not None:
-                    array = self._shm.publish(expected, seg.read_bytes())
-                if array is None:
-                    array = payload.load_npy_mmap(seg)
+            actual = payload.hash_file(seg)
+            if actual != expected:
+                raise CacheIntegrityError(
+                    str(seg),
+                    f"segment sha256 mismatch "
+                    f"(expected {expected[:12]}..., "
+                    f"got {actual[:12]}...)",
+                )
+            array = payload.load_npy_mmap(seg)
             mapped += array.nbytes
             arrays.append(array)
         self.stats.mmap_bytes += mapped

@@ -1,17 +1,13 @@
-"""Cross-job fleet scheduling: many sweeps merged into one node set.
+"""Fleet scheduling: every sweep the executor runs, one node set.
 
-:class:`~repro.pipeline.scheduler.GraphScheduler` merges the N x M
-cells of *one* sweep into a deduplicated execution graph.  The job
-service, however, runs many sweeps from many tenants, and overlapping
-submissions - two tenants grid-searching the same model at different
-orientations - still re-tessellated and re-resolved everything per job
-because each job planned its own graph.  :class:`FleetScheduler` lifts
-the merge one level up (ISSUE 10 tentpole): jobs are *admitted
-incrementally* into one fleet-wide node index keyed by
-``(stage name, content digest)``, so a node claimed by several jobs -
-even jobs submitted by different tenants while the fleet is already
-running - executes exactly once, with its result fanned out to every
-consuming job.
+Jobs are *admitted incrementally* into one fleet-wide node index keyed
+by ``(stage name, content digest)``, so a node claimed by several cells
+- the tessellate and resolve nodes every orientation of a resolution
+shares - or by several jobs - even jobs submitted by different tenants
+while the fleet is already running - executes exactly once, with its
+result fanned out to every consumer.  A single
+:class:`~repro.pipeline.parallel.ParallelSweep` run is a fleet of one
+job; the job service admits many.
 
 Per-job accounting is split out of shared-node execution:
 
@@ -36,12 +32,12 @@ job claiming it, so an urgent job admitted late overtakes the backlog
 of a patient one without starving it (shared nodes are executed once
 for both anyway).
 
-Execution reuses the worker entry of the single-job scheduler
-(:func:`~repro.pipeline.scheduler._run_node_task`) verbatim - inline in
-the dispatching thread when ``jobs == 1`` (or after pool-rebuild
-exhaustion), or fanned out over a warm
-:class:`~repro.pipeline.scheduler.WorkerPool` - so the fleet cannot
-drift from the per-job executor in what a "node execution" means.
+Tasks run through one body
+(:func:`~repro.pipeline.scheduler.execute_task`): inline in the
+dispatching thread on a cache the fleet owns when ``jobs == 1`` (or
+after pool-rebuild exhaustion), or in the workers of a warm
+:class:`~repro.pipeline.scheduler.WorkerPool` through the worker entry
+(:func:`~repro.pipeline.scheduler._run_node_task`).
 """
 
 from __future__ import annotations
@@ -76,6 +72,7 @@ from repro.pipeline.scheduler import (
     NodeRecord,
     WorkerPool,
     _run_node_task,
+    execute_task,
 )
 from repro.pipeline.stage import StageExecution
 
@@ -95,8 +92,8 @@ _NO_DEADLINE = float("inf")
 class FleetJob:
     """One sweep job admitted to the fleet: inputs + per-job ledgers.
 
-    The fleet analogue of one :class:`~repro.pipeline.parallel.ParallelSweep`
-    run: a model, a ``(resolution, orientation)`` grid, a picklable
+    What one :class:`~repro.pipeline.parallel.ParallelSweep` run
+    admits: a model, a ``(resolution, orientation)`` grid, a picklable
     :class:`ChainConfig`, and the accounting that must stay per-job
     even when execution is shared - scheduler counters, cache stats,
     trace spans, transport bytes, cell results/errors.
@@ -132,7 +129,7 @@ class FleetJob:
         self.chain = None  # planning chain (stage order + key functions)
         self.model_ref: Tuple[str, Any] = ("inline", model)
         # Per-job ledgers.
-        self.counters = SchedulerStats(dedupe=True)
+        self.counters = SchedulerStats()
         self.stats = CacheStats()
         self.transport = TransportStats()
         self.spans: List[dict] = []
@@ -161,10 +158,9 @@ class FleetJob:
 class FleetNode:
     """One schedulable unit of the fleet-wide merged graph.
 
-    Like :class:`~repro.pipeline.graph.GraphNode`, identity is
-    ``(stage name, content digest)`` - but ``claims`` lists
-    ``(job_id, cell index)`` pairs across *jobs*, in claim order (the
-    creating job's claim first).
+    Identity is ``(stage name, content digest)``; ``claims`` lists the
+    ``(job_id, cell index)`` pairs that want the node, across cells and
+    jobs, in claim order (the creating job's claim first).
     """
 
     __slots__ = (
@@ -175,7 +171,7 @@ class FleetNode:
     def __init__(self, stage_name, position, digest, key, deps):
         self.stage_name = stage_name
         #: Topological position of the stage (heap tie-break: upstream
-        #: nodes first, like GraphNode.priority).
+        #: nodes first).
         self.position = position
         self.digest = digest
         self.key = key
@@ -200,14 +196,17 @@ class FleetScheduler:
     ----------
     cache_dir:
         Shared :class:`DiskStageCache` directory every job's artifacts
-        flow through (required: cross-job sharing *is* the point).
+        flow through.  Required with ``jobs > 1`` (workers share
+        artifacts through it); with ``jobs == 1`` and no directory the
+        fleet executes on a private in-memory :class:`StageCache`.
     jobs:
         Worker processes.  ``1`` executes tasks inline in whichever
         thread drives :meth:`step`; ``> 1`` leases executors from
         ``pool`` (or a private :class:`WorkerPool`).
     retry / cell_timeout_s:
-        Node-level resilience knobs, as for
-        :class:`~repro.pipeline.scheduler.GraphScheduler`.
+        Node-level resilience knobs: a
+        :class:`~repro.pipeline.resilience.RetryPolicy` per node
+        attempt, and a wall-clock budget per node.
     keep_going:
         ``True`` (default): a failed cell becomes a structured error in
         its job's report and the rest of the fleet continues.
@@ -237,7 +236,17 @@ class FleetScheduler:
     ):
         if jobs < 1:
             raise PipelineConfigError("jobs must be >= 1")
-        self.cache_dir = str(cache_dir)
+        if cache_dir is None and jobs > 1:
+            raise PipelineConfigError("a pooled fleet needs a cache_dir")
+        self.cache_dir = str(cache_dir) if cache_dir is not None else None
+        #: The cache inline tasks run on: the shared disk store when
+        #: there is one, else a private in-memory cache.  Pool workers
+        #: keep their own per-process warm caches.
+        self._cache = (
+            DiskStageCache(self.cache_dir)
+            if self.cache_dir is not None
+            else StageCache()
+        )
         self.jobs = jobs
         self.retry = retry
         self.cell_timeout_s = cell_timeout_s
@@ -306,11 +315,13 @@ class FleetScheduler:
 
     def _publish_root(self, digest: str, model) -> Tuple[str, Any]:
         """Handle-passing transport: publish the model root once, ship
-        its digest in every payload (falls back to inline on failure)."""
+        its digest in every pool payload (falls back to inline on
+        failure).  Inline execution needs no transport."""
+        if self.jobs == 1:
+            return ("inline", model)
         if digest in self._roots_published:
             return ("handle", digest)
-        root_cache = DiskStageCache(self.cache_dir)
-        if root_cache.put_root(digest, model):
+        if self._cache.put_root(digest, model):
             self._roots_published.add(digest)
             return ("handle", digest)
         return ("inline", model)
@@ -326,7 +337,6 @@ class FleetScheduler:
         ctx.digests["model"] = root_digest
         digests = {"model": root_digest}
         mine: Dict[str, FleetNode] = {}
-        fanned = False
         for position, stage in enumerate(job.chain.graph.order):
             if stage.name in SWEEP_EXCLUDED:
                 continue
@@ -370,7 +380,6 @@ class FleetScheduler:
                         job.counters.fanout_results += 1
                         self.fanout_results += 1
                         self._inc("fleet.fanout_results")
-                        fanned = True
                 if node.state is READY:
                     # An urgent claimant may improve the node's rank;
                     # re-push (the stale entry is skipped at pop).
@@ -389,8 +398,6 @@ class FleetScheduler:
         self._final_missing[fkey] = missing
         if missing == 0:
             self._push(("final", job.job_id, index))
-        if fanned:
-            pass  # counted above; kept for readability
 
     # -- ready heap ----------------------------------------------------------
 
@@ -683,9 +690,12 @@ class FleetScheduler:
     def _maybe_complete(self, job) -> None:
         if job.job_id not in self._jobs:
             return
+        # A released cell is resolved: it failed (and is in
+        # job.errors), or a keep_going=False abort cancelled it.
         unresolved = [
             i for i in range(len(job.grid))
-            if i not in job.results and i not in job.errors
+            if i not in job.results
+            and (job.job_id, i) not in self._dead_finals
         ]
         if unresolved:
             return
@@ -828,11 +838,11 @@ class FleetScheduler:
                 self._drop_unclaimed(entry)
                 return True
             payload = self._payload(entry, claim)
-        # The worker entry installs its own tracer; preserve whatever
+        # The task body installs its own tracer; preserve whatever
         # tracer the embedding process had installed.
         prev = obs.get_tracer()
         try:
-            shipped = _run_node_task(payload)
+            shipped = execute_task(self._cache, payload)
         finally:
             if prev is not None and obs.get_tracer() is not prev:
                 obs.install(prev)
@@ -888,8 +898,11 @@ class FleetScheduler:
                 return_when=FIRST_COMPLETED,
             )
             for future in done:
-                entry, claim, size = self._inflight.pop(future)
+                # Read the result before dropping the future: a worker
+                # death raises here, and the broken-pool handler must
+                # still find the task in flight to requeue it.
                 shipped = future.result()
+                entry, claim, size = self._inflight.pop(future)
                 with self._lock:
                     self._record_transport(claim, size, shipped)
                     self._absorb(entry, claim, shipped)

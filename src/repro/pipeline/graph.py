@@ -26,13 +26,13 @@ module makes the graph first-class:
     geometry review, anomaly detection) would attach in a production
     deployment - see DESIGN.md §3.5.
 
-:class:`ExecutionGraph`
-    N x M sweep cells merged into one deduplicated node set: a node is
-    identified by ``(stage name, content digest)``, so work whose
-    upstream world and parameters agree across cells - tessellate and
-    resolve depend only on the resolution - appears exactly once
-    fleet-wide.  Per-stage requested/scheduled/deduped/executed
-    counters (:class:`SchedulerStats`) prove the dedup in run manifests
+:class:`SchedulerStats`
+    Per-stage requested/scheduled/deduped/executed node counters.  The
+    fleet scheduler (:mod:`repro.pipeline.fleet`) merges sweep cells
+    into one node set keyed by ``(stage name, content digest)``, so
+    work whose upstream world and parameters agree across cells -
+    tessellate and resolve depend only on the resolution - appears
+    exactly once; these counters prove the dedup in run manifests
     instead of leaving it to cache-hit luck.
 """
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro import observability as obs
@@ -270,8 +270,6 @@ class SchedulerStats:
     stages: "OrderedDict[str, NodeCounters]" = field(
         default_factory=OrderedDict
     )
-    #: Whether node merging was enabled (the ablation knob).
-    dedupe: bool = True
     #: Stage requests folded into a node another *job* created (fleet
     #: scheduling only; stays 0 for single-job sweeps).
     cross_job_deduped: int = 0
@@ -305,7 +303,6 @@ class SchedulerStats:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form for manifests and benchmark reports."""
         return {
-            "dedupe": self.dedupe,
             "fleet": {
                 "cross_job_deduped": self.cross_job_deduped,
                 "fanout_results": self.fanout_results,
@@ -351,116 +348,3 @@ class SchedulerStats:
                 f"{self.cancelled_nodes} nodes cancelled"
             )
         return lines
-
-
-# -- merged sweep graph -------------------------------------------------------
-
-
-class GraphNode:
-    """One schedulable unit of a merged sweep graph.
-
-    Identity is ``(stage name, content digest)`` - two cells whose
-    upstream world and stage parameters agree share the node.  ``cells``
-    lists the grid indices still waiting on it (the scheduler removes a
-    cell on failure attribution); ``deps`` are the keys of the upstream
-    nodes, and every dependant's ``cells`` is always a subset of each of
-    its dependencies' (a cell that wants a node wants its inputs too).
-    """
-
-    __slots__ = ("stage", "digest", "key", "priority", "deps", "cells")
-
-    def __init__(
-        self,
-        stage: Stage,
-        digest: str,
-        key: Tuple,
-        priority: Tuple[int, int],
-        deps: Tuple[Tuple, ...],
-    ):
-        self.stage = stage
-        self.digest = digest
-        self.key = key
-        self.priority = priority
-        self.deps = deps
-        self.cells: List[int] = []
-
-
-class ExecutionGraph:
-    """N x M sweep cells merged into one deduplicated node graph.
-
-    Parameters
-    ----------
-    graph:
-        The validated :class:`StageGraph` the cells run on.
-    dedupe:
-        ``True`` (default) merges same-digest nodes fleet-wide;
-        ``False`` keeps one node per (cell, stage) - the ablation
-        baseline reproducing the legacy cell-granular fan-out.
-    """
-
-    def __init__(self, graph: StageGraph, dedupe: bool = True):
-        self.graph = graph
-        self.dedupe = dedupe
-        self.nodes: "OrderedDict[Tuple, GraphNode]" = OrderedDict()
-        #: Full digest map per cell ({root/stage name -> digest}),
-        #: shipped to workers so they can materialize upstream inputs.
-        self.cell_digests: Dict[int, Dict[str, str]] = {}
-        #: Per-cell view of the graph: stage name -> shared node.
-        self.cell_nodes: Dict[int, Dict[str, GraphNode]] = {}
-        self.counters = SchedulerStats(dedupe=dedupe)
-
-    def add_cell(
-        self,
-        index: int,
-        ctx: Any,
-        root_digests: Dict[str, str],
-        exclude: Tuple[str, ...] = (),
-    ) -> None:
-        """Expand one grid cell into (shared) graph nodes.
-
-        ``exclude`` names stages to leave out entirely (the opt-in
-        ``validate`` stage is not part of a sweep); an excluded stage
-        must not feed a scheduled one.
-        """
-        for name in exclude:
-            for consumer in self.graph.consumers(name):
-                if consumer not in exclude:
-                    raise StageGraphError(
-                        f"cannot exclude stage {name!r}: {consumer!r} "
-                        "depends on it"
-                    )
-        digests = dict(root_digests)
-        mine: Dict[str, GraphNode] = {}
-        for position, stage in enumerate(self.graph.order):
-            if stage.name in exclude:
-                continue
-            digest = self.graph.node_digest(stage, ctx, digests)
-            digests[stage.name] = digest
-            key: Tuple = (
-                (stage.name, digest)
-                if self.dedupe
-                else (stage.name, digest, index)
-            )
-            counters = self.counters.stage(stage.name)
-            counters.requested += 1
-            node = self.nodes.get(key)
-            if node is None:
-                node = GraphNode(
-                    stage=stage,
-                    digest=digest,
-                    key=key,
-                    priority=(position, index),
-                    deps=tuple(
-                        mine[name].key
-                        for name in stage.inputs
-                        if name in mine
-                    ),
-                )
-                self.nodes[key] = node
-                counters.scheduled += 1
-            else:
-                counters.deduped += 1
-            node.cells.append(index)
-            mine[stage.name] = node
-        self.cell_digests[index] = digests
-        self.cell_nodes[index] = mine

@@ -5,20 +5,19 @@ counterfeiter's brute force alike - is embarrassingly parallel across
 grid cells, but the cells share work: tessellation and coincident-face
 resolution depend only on the resolution, not the orientation.
 :class:`ParallelSweep` is the sweep facade: it expands the grid, keys
-and journals the cells, and delegates execution to the stage-granular
-:class:`~repro.pipeline.scheduler.GraphScheduler`, which merges all
-cells into one :class:`~repro.pipeline.graph.ExecutionGraph` so shared
-upstream nodes are *scheduled exactly once fleet-wide* (not merely
-deduplicated by cache races) and fans the graph's topological waves out
-to a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-share artifacts through one on-disk
-:class:`~repro.pipeline.disk.DiskStageCache`.
+and journals the cells, and runs the rest as a one-job fleet on a
+:class:`~repro.pipeline.fleet.FleetScheduler`, which merges all cells
+into one node set so shared upstream nodes are *scheduled exactly
+once* (not merely deduplicated by cache races) and fans ready nodes
+out to a worker pool whose processes share artifacts through one
+on-disk :class:`~repro.pipeline.disk.DiskStageCache`.
 
 Determinism: cells are reported in grid order, every stage is pure,
 and the raster kernel is bit-identical to the scalar path - so a
 parallel sweep produces exactly the artifacts of the serial sweep,
 which :func:`outcome_fingerprint` makes checkable as a single content
-hash per cell.
+hash per cell.  The serial whole-cell path (:func:`execute_cell` on
+one :class:`~repro.pipeline.chain.ProcessChain`) is the oracle.
 
 Fault tolerance (ISSUE 3): a sweep is only as strong as its weakest
 cell unless failures are *isolated*.  Here:
@@ -33,15 +32,16 @@ cell unless failures are *isolated*.  Here:
   pending consumer cell and re-runs for the survivors;
 * a worker death (:class:`~concurrent.futures.process.BrokenProcessPool`)
   triggers a bounded number of pool rebuilds with resubmission of the
-  lost nodes, then graceful degradation to serial execution;
+  lost nodes, then graceful degradation to inline execution;
 * completed cells are checkpointed to a
-  :class:`~repro.pipeline.journal.SweepJournal` so a crashed sweep can
-  ``resume`` without recomputing finished cells - and the scheduler
-  never even *plans* a replayed cell's nodes.
+  :class:`~repro.pipeline.journal.SweepJournal` as they land, so a
+  crashed sweep can ``resume`` without recomputing finished cells -
+  and a replayed cell is never even admitted to the fleet.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -56,6 +56,8 @@ from repro.pipeline.chain import (
     _resolution_key,
     _settings_key,
 )
+from repro.pipeline.fleet import FleetJob, FleetScheduler
+from repro.pipeline.graph import SchedulerStats
 from repro.pipeline.journal import SweepJournal
 from repro.pipeline.report import (
     SweepAborted,
@@ -73,18 +75,13 @@ from repro.pipeline.resilience import (
     RetryPolicy,
     time_limit,
 )
-from repro.pipeline.scheduler import (
-    OUTCOME_STAGES,
-    ChainConfig,
-    GraphScheduler,
-    WorkerPool,
-)
+from repro.pipeline.scheduler import OUTCOME_STAGES, ChainConfig, WorkerPool
 from repro.printer.machines import DIMENSION_ELITE, MachineProfile
 from repro.printer.orientation import PrintOrientation
 from repro.slicer.settings import SlicerSettings
 
 #: Pool rebuilds attempted after worker deaths before degrading to
-#: serial execution of the remaining cells.
+#: inline execution of the remaining nodes.
 MAX_POOL_REBUILDS = 2
 
 __all__ = [
@@ -116,8 +113,8 @@ def execute_cell(
 
     The whole-cell execution path, kept for consumers that iterate a
     shared long-lived chain themselves (the counterfeiter simulator's
-    serial attack loop); sweeps go through the stage-granular
-    scheduler instead.  Returns ``(cell, error)`` with exactly one of
+    serial attack loop) and as the oracle the fleet-scheduled sweep is
+    compared against.  Returns ``(cell, error)`` with exactly one of
     the two set.
     """
     context = f"{resolution.name}/{orientation.value}"
@@ -183,20 +180,20 @@ def execute_cell(
 
 
 class ParallelSweep:
-    """Grid sweep executor: serial in-process, or fanned out to workers.
+    """Grid sweep executor: a one-job fleet, inline or across workers.
 
     Parameters
     ----------
     machine / settings / raster_cell_mm / plate_margin_mm:
         Chain configuration, as for :class:`~repro.pipeline.ProcessChain`.
     jobs:
-        Worker process count; ``1`` (default) runs the merged graph
-        serially in-process.
+        Worker process count; ``1`` (default) runs the fleet's nodes
+        inline in this process.
     cache_dir:
         Directory for the shared :class:`DiskStageCache`.  Required to
         share artifacts *across* sweeps; when omitted, a parallel sweep
         uses a throwaway temporary directory for the duration of the
-        run and a serial sweep uses a plain in-memory cache.
+        run and an inline sweep a plain in-memory cache.
     retry:
         :class:`RetryPolicy` applied to every scheduled node.  The
         default never retries; pass e.g.
@@ -215,23 +212,11 @@ class ParallelSweep:
         sweep can be resumed.
     resume:
         Replay ``journal_path`` before running: cells with an intact
-        journal record are served from it instead of recomputed (their
-        nodes are never planned into the execution graph).
+        journal record are served from it instead of recomputed (they
+        are never admitted to the fleet).
     max_pool_rebuilds:
         Worker-pool rebuilds after :class:`BrokenProcessPool` before
-        the remaining nodes degrade to serial in-process execution.
-    dedupe:
-        ``True`` (default): shared upstream nodes (tessellate, resolve)
-        are scheduled once fleet-wide.  ``False`` plans one node per
-        cell per stage - the legacy cell-granular schedule, kept as an
-        ablation baseline (the shared cache still deduplicates compute,
-        so only scheduling overhead differs).
-    pool:
-        An external :class:`~repro.pipeline.scheduler.WorkerPool` to
-        lease workers from instead of spawning a throwaway pool per
-        run.  Long-lived callers (the job service) share one pool
-        across sweeps so repeat runs hit *warm* workers; the pool is
-        left alive on completion and its owner shuts it down.
+        the remaining nodes degrade to inline execution.
     """
 
     def __init__(
@@ -248,8 +233,6 @@ class ParallelSweep:
         journal_path: Optional[str] = None,
         resume: bool = False,
         max_pool_rebuilds: int = MAX_POOL_REBUILDS,
-        dedupe: bool = True,
-        pool: Optional[WorkerPool] = None,
     ):
         if jobs < 1:
             raise PipelineConfigError("jobs must be >= 1")
@@ -271,26 +254,6 @@ class ParallelSweep:
         self.journal_path = journal_path
         self.resume = resume
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.dedupe = dedupe
-        self.pool = pool
-
-    def _scheduler(self) -> GraphScheduler:
-        return GraphScheduler(
-            config=ChainConfig(
-                machine=self.machine,
-                settings=self.settings,
-                raster_cell_mm=self.raster_cell_mm,
-                plate_margin_mm=self.plate_margin_mm,
-            ),
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            retry=self.retry,
-            cell_timeout_s=self.cell_timeout_s,
-            keep_going=self.keep_going,
-            max_pool_rebuilds=self.max_pool_rebuilds,
-            dedupe=self.dedupe,
-            pool=self.pool,
-        )
 
     def run(
         self,
@@ -323,7 +286,7 @@ class ParallelSweep:
                 for r, o in grid
             ]
             replayed = self._replay(journal, keys) if self.resume else {}
-            report = self._scheduler().execute(
+            report = self._execute(
                 model, grid, keys, replayed, assess, analyze_seam, journal
             )
             report.wall_s = time.perf_counter() - start
@@ -341,6 +304,70 @@ class ParallelSweep:
             )
         if report.errors and not self.keep_going:
             raise SweepAborted(report.errors[0])
+        return report
+
+    def _execute(
+        self, model, grid, keys, replayed, assess, analyze_seam, journal
+    ) -> SweepReport:
+        """Admit the non-replayed cells as one fleet job and drive the
+        fleet to completion, journaling each cell as it lands."""
+        pending = [i for i in range(len(grid)) if i not in replayed]
+        if not pending:
+            return SweepReport(
+                cells=[replayed[i] for i in sorted(replayed)],
+                jobs=self.jobs,
+                resumed=len(replayed),
+                scheduler=SchedulerStats(),
+            )
+        tmp = None
+        cache_dir = self.cache_dir
+        if self.jobs > 1 and cache_dir is None:
+            tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
+            cache_dir = tmp.name
+        config = ChainConfig(
+            machine=self.machine,
+            settings=self.settings,
+            raster_cell_mm=self.raster_cell_mm,
+            plate_margin_mm=self.plate_margin_mm,
+        )
+        job = FleetJob(
+            "sweep", model, [grid[i] for i in pending], config,
+            assess=assess, analyze_seam=analyze_seam,
+        )
+        fleet = FleetScheduler(
+            cache_dir,
+            jobs=self.jobs,
+            retry=self.retry,
+            cell_timeout_s=self.cell_timeout_s,
+            keep_going=self.keep_going,
+            max_pool_rebuilds=self.max_pool_rebuilds,
+        )
+        journaled = set()
+        try:
+            fleet.admit(job)
+            while fleet.has_work():
+                fleet.step()
+                if journal is None:
+                    continue
+                # Checkpoint each cell as it lands, so a crash loses
+                # only the cells still in flight.
+                for local in sorted(job.results.keys() - journaled):
+                    journal.append(keys[pending[local]], job.results[local])
+                    journaled.add(local)
+        finally:
+            fleet.shutdown()
+            if tmp is not None:
+                tmp.cleanup()
+        tracer = obs.get_tracer()
+        if tracer is not None:
+            tracer.adopt(job.spans)
+        # Local job indices map back monotonically onto the grid, so
+        # the job's errors are already in grid order.
+        results = dict(replayed)
+        results.update((pending[i], cell) for i, cell in job.results.items())
+        report = job.report
+        report.cells = [results[i] for i in sorted(results)]
+        report.resumed = len(replayed)
         return report
 
     # -- journal -------------------------------------------------------------

@@ -1,19 +1,15 @@
-"""Stage-granular, dependency-aware execution of one merged sweep graph.
+"""Node execution for the fleet scheduler: the task body, the worker
+entry and the warm pool.
 
-The legacy executor fanned a sweep out at whole-cell granularity: every
-worker re-ran the full chain for its cell and deduplication of
-orientation-independent work (tessellate, resolve) was left to cache
-races on the shared disk store.  :class:`GraphScheduler` instead merges
-all N x M cells into one :class:`~repro.pipeline.graph.ExecutionGraph`
-and schedules *graph nodes*: shared upstream nodes run exactly once
-fleet-wide, their results fan out to the orientation-specific
-subgraphs, and readiness is propagated in topological waves across the
-process pool.
-
-One code path runs everywhere (ISSUE 6 satellite): the serial sweep,
-the worker processes and the degraded-to-serial tail all execute nodes
-through :func:`execute_node` / :func:`execute_finalize`, which in turn
-go through the single node-execution boundary
+Every sweep the executor runs is a job of
+:class:`~repro.pipeline.fleet.FleetScheduler`, which schedules *graph
+nodes* keyed by ``(stage name, content digest)``.  This module holds
+what a scheduled node execution means, wherever it runs: inline in the
+dispatching thread (:func:`execute_task`), in a pool worker
+(:func:`_run_node_task`), or in the degraded-to-inline tail after pool
+rebuilds are exhausted.  All of them execute nodes through
+:func:`execute_node` / :func:`execute_finalize`, which in turn go
+through the single node-execution boundary
 (:func:`repro.pipeline.graph.run_stage`).
 
 Accounting invariants, relied on by the observability layer:
@@ -27,50 +23,27 @@ Accounting invariants, relied on by the observability layer:
   fetch miss (an upstream store failed), the input is recomputed
   through the boundary and therefore counted consistently on both
   ledgers.
-
-Failure attribution: a failed shared node charges the *first* pending
-consumer cell (lowest grid index - the cell the legacy executor would
-have computed it with), cancels that cell's remaining nodes, and
-re-queues the node for the surviving cells, preserving the legacy
-property that one poisoned cell never voids the rest of the grid.
 """
 
 from __future__ import annotations
 
-import heapq
-import pickle
-import tempfile
 import threading
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro import observability as obs
-from repro.pipeline import shm as shm_tier
-from repro.mesh.content_hash import model_digest
-from repro.pipeline.cache import CacheStats, StageCache, stats_delta
+from repro.pipeline.cache import CacheStats, stats_delta
 from repro.pipeline.chain import ChainContext, ProcessChain
 from repro.pipeline.disk import DiskStageCache
-from repro.pipeline.graph import ExecutionGraph, run_stage
+from repro.pipeline.graph import run_stage
 from repro.pipeline.report import (
-    SweepCellResult,
-    SweepReport,
-    TransportStats,
     cell_error_from_exception,
     finalize_key,
     outcome_fingerprint,
 )
-from repro.pipeline.resilience import (
-    NO_RETRY,
-    PipelineError,
-    RetryPolicy,
-    time_limit,
-)
-from repro.pipeline.stage import StageExecution
+from repro.pipeline.resilience import PipelineError, RetryPolicy, time_limit
 from repro.printer.job import PrintOutcome
 
 #: Stages whose artifacts assemble a cell's
@@ -195,8 +168,9 @@ def execute_finalize(
     """Assemble, fingerprint and assess one finished cell.
 
     The per-cell ``sweep.cell`` trace span is emitted here - finalize
-    runs where the cell's verdict is produced (a worker in parallel
-    mode, the parent serially), exactly like the legacy cell executor.
+    runs where the cell's verdict is produced (a pool worker, or the
+    dispatching process inline), exactly like
+    :func:`~repro.pipeline.parallel.execute_cell`.
     Deliberately uncached and unaccounted: assembling an outcome from
     cached artifacts is not a stage execution, so a warm sweep still
     reports zero misses and a fully-replayed resume reports zero of
@@ -308,17 +282,22 @@ def _resolve_model(model_ref: Tuple[str, Any], cache) -> Any:
     return model
 
 
-def _run_node_task(payload) -> Tuple[Any, Any, CacheStats, List[dict]]:
-    """Worker entry: execute one graph node (or cell finalize).
+def execute_task(
+    cache, payload, worker: bool = False
+) -> Tuple[Any, Any, CacheStats, List[dict]]:
+    """Execute one graph node (or cell finalize) on ``cache``.
 
-    Ships back ``(result, error, stats_delta, spans)``; errors travel
-    as structured :class:`~repro.pipeline.report.SweepCellError` rows
+    The task body shared by pool workers and inline execution.  Ships
+    back ``(result, error, stats_delta, spans)``; errors travel as
+    structured :class:`~repro.pipeline.report.SweepCellError` rows
     (exceptions with custom constructors do not survive pickling), with
-    the cell attribution left to the parent for shared nodes.
+    the cell attribution left to the scheduler for shared nodes.
+    ``worker`` arms the ``worker`` fault site, which only a pool
+    process may fire (a kill there must not take the dispatcher down).
     """
     (
         config,
-        cache_dir,
+        _cache_dir,
         kind,
         stage_name,
         digest,
@@ -338,11 +317,11 @@ def _run_node_task(payload) -> Tuple[Any, Any, CacheStats, List[dict]]:
     result = None
     error = None
     try:
-        cache = _worker_cache(cache_dir)
         chain = config.build(cache)
         before = cache.stats.snapshot()
         try:
-            faults.fire("worker", context=cell)
+            if worker:
+                faults.fire("worker", context=cell)
             ctx = ChainContext(
                 chain=chain,
                 model=_resolve_model(model_ref, cache),
@@ -373,19 +352,24 @@ def _run_node_task(payload) -> Tuple[Any, Any, CacheStats, List[dict]]:
     return result, error, stats, spans
 
 
+def _run_node_task(payload) -> Tuple[Any, Any, CacheStats, List[dict]]:
+    """Worker entry: :func:`execute_task` on this process's warm cache
+    for the payload's cache directory."""
+    return execute_task(_worker_cache(payload[1]), payload, worker=True)
+
+
 # -- the warm pool ------------------------------------------------------------
 
 
 class WorkerPool:
     """A long-lived, rebuildable :class:`ProcessPoolExecutor` handle.
 
-    The scheduler historically created a fresh pool per ``execute()``
-    call, paying worker spawn plus cold per-process memos
-    (:data:`_WORKER_CACHES`, :data:`_MODEL_MEMO`) on every run.  A
+    A pool owned by one run pays worker spawn plus cold per-process
+    memos (:data:`_WORKER_CACHES`, :data:`_MODEL_MEMO`) every time.  A
     ``WorkerPool`` outlives individual runs: the job service creates
-    one and passes it through :class:`~repro.pipeline.parallel.ParallelSweep`
+    one and hands it to its :class:`~repro.pipeline.fleet.FleetScheduler`
     so back-to-back jobs land on *warm* workers whose caches and model
-    memos are already populated (ISSUE 9 tentpole).
+    memos are already populated.
 
     The handle is also the rebuild point after a
     :class:`BrokenProcessPool`: :meth:`rebuild` swaps in a replacement
@@ -430,549 +414,3 @@ class WorkerPool:
             if self._pool is not None:
                 self._pool.shutdown(wait=wait, cancel_futures=True)
                 self._pool = None
-
-
-# -- the scheduler ------------------------------------------------------------
-
-
-class GraphScheduler:
-    """Executes one merged sweep graph, serially or across a pool.
-
-    The single sweep code path (ISSUE 6): :class:`~repro.pipeline.parallel.ParallelSweep`
-    delegates both its serial and its parallel mode here, as does the
-    degraded tail after pool-rebuild exhaustion - they differ only in
-    where node tasks run.
-    """
-
-    def __init__(
-        self,
-        config: ChainConfig,
-        jobs: int = 1,
-        cache_dir: Optional[str] = None,
-        retry: RetryPolicy = NO_RETRY,
-        cell_timeout_s: Optional[float] = None,
-        keep_going: bool = True,
-        max_pool_rebuilds: int = 2,
-        dedupe: bool = True,
-        pool: Optional[WorkerPool] = None,
-    ):
-        self.config = config
-        self.jobs = jobs
-        self.cache_dir = cache_dir
-        self.retry = retry
-        self.cell_timeout_s = cell_timeout_s
-        self.keep_going = keep_going
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.dedupe = dedupe
-        #: External warm pool; when ``None`` each run owns a throwaway
-        #: one (the legacy per-run behaviour).
-        self.pool = pool
-
-    def execute(
-        self,
-        model,
-        grid: Sequence[Tuple[Any, Any]],
-        keys: Sequence[str],
-        replayed: Dict[int, SweepCellResult],
-        assess,
-        analyze_seam: bool,
-        journal,
-    ) -> SweepReport:
-        """Run every non-replayed grid cell; results in grid order."""
-        tmp = None
-        cache_dir = self.cache_dir
-        if self.jobs > 1 and cache_dir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
-            cache_dir = tmp.name
-        if cache_dir and shm_tier.shm_enabled():
-            # If this parent dies mid-sweep (SIGTERM, interpreter
-            # exit), the atexit/signal reaper still unlinks every
-            # published segment - the finally below only covers the
-            # normal path (ISSUE 9).
-            shm_tier.arm_parent_reaper(
-                Path(cache_dir) / shm_tier.REGISTRY_NAME
-            )
-        try:
-            return self._execute(
-                model, grid, keys, replayed, assess, analyze_seam,
-                journal, cache_dir,
-            )
-        finally:
-            # Shared-memory segments are machine-global; the run that
-            # published them must take them down (crashed workers
-            # cannot).
-            self._shm_cleanup(cache_dir)
-            if cache_dir:
-                shm_tier.disarm_parent_reaper(
-                    Path(cache_dir) / shm_tier.REGISTRY_NAME
-                )
-            if tmp is not None:
-                tmp.cleanup()
-
-    def _shm_cleanup(self, cache_dir) -> None:
-        if cache_dir and shm_tier.shm_enabled():
-            shm_tier.cleanup_registry(
-                Path(cache_dir) / shm_tier.REGISTRY_NAME
-            )
-
-    # -- graph construction --------------------------------------------------
-
-    def _plan(self, chain, model, grid, replayed, analyze_seam):
-        """Expand the non-replayed cells into one merged graph."""
-        digest = model_digest(model)
-        graph = ExecutionGraph(chain.graph, dedupe=self.dedupe)
-        contexts: Dict[int, ChainContext] = {}
-        for index, (resolution, orientation) in enumerate(grid):
-            if index in replayed:
-                continue
-            ctx = ChainContext(
-                chain=chain,
-                model=model,
-                resolution=resolution,
-                orientation=orientation,
-                analyze_seam=analyze_seam,
-            )
-            ctx.digests["model"] = digest
-            graph.add_cell(
-                index, ctx, {"model": digest}, exclude=SWEEP_EXCLUDED
-            )
-            contexts[index] = ctx
-        return graph, contexts
-
-    # -- execution -----------------------------------------------------------
-
-    def _execute(
-        self, model, grid, keys, replayed, assess, analyze_seam, journal,
-        cache_dir,
-    ) -> SweepReport:
-        serial = self.jobs == 1
-        if serial:
-            cache = DiskStageCache(cache_dir) if cache_dir else StageCache()
-        else:
-            cache = StageCache()  # planning only; workers own the real one
-        chain = self.config.build(cache)
-        exe, contexts = self._plan(
-            chain, model, grid, replayed, analyze_seam
-        )
-
-        # Handle-passing transport (ISSUE 7): publish the model into
-        # the shared cache's root store once, then ship only its digest
-        # in every task payload.  Falls back to the legacy inline
-        # payload when the root cannot be persisted.
-        transport: Optional[TransportStats] = None
-        model_ref: Tuple[str, Any] = ("inline", model)
-        if not serial:
-            transport = TransportStats()
-            root_cache = DiskStageCache(cache_dir)
-            digest = model_digest(model)
-            if root_cache.put_root(digest, model):
-                model_ref = ("handle", digest)
-
-        # Scheduling state.  Entries are ("node", key) or
-        # ("final", index); an entry becomes ready when its unmet
-        # dependency count reaches zero.
-        FINAL_PRIORITY = len(chain.graph.order)
-        missing: Dict[Tuple, int] = {}
-        dependents: Dict[Tuple, List[Tuple]] = {}
-        ready: List[Tuple] = []  # heap of (priority, seq, entry)
-        seq = 0
-        dead: set = set()
-        records: Dict[Tuple, NodeRecord] = {}
-        computed_by: Dict[Tuple, int] = {}
-        results: Dict[int, SweepCellResult] = dict(replayed)
-        errors: Dict[int, Any] = {}
-        cell_attempts: Dict[int, int] = {}
-        stats = CacheStats()
-        state = {"abort": False, "rebuilds": 0, "degraded": False}
-
-        def push(entry: Tuple) -> None:
-            nonlocal seq
-            if entry[0] == "node":
-                priority = exe.nodes[entry[1]].priority
-            else:
-                priority = (FINAL_PRIORITY, entry[1])
-            heapq.heappush(ready, (priority, seq, entry))
-            seq += 1
-
-        def pop() -> Optional[Tuple]:
-            while ready:
-                _, _, entry = heapq.heappop(ready)
-                if entry not in dead:
-                    return entry
-            return None
-
-        for key, node in exe.nodes.items():
-            entry = ("node", key)
-            missing[entry] = len(node.deps)
-            for dep in node.deps:
-                dependents.setdefault(dep, []).append(entry)
-            if not node.deps:
-                push(entry)
-        for index in contexts:
-            entry = ("final", index)
-            deps = {exe.cell_nodes[index][name].key for name in OUTCOME_STAGES}
-            missing[entry] = len(deps)
-            for dep in deps:
-                dependents.setdefault(dep, []).append(entry)
-
-        def cell_label(index: int) -> str:
-            resolution, orientation = grid[index]
-            return f"{resolution.name}/{orientation.value}"
-
-        def cancel_cell(victim: int) -> None:
-            """Drop a failed cell's claim on every pending node."""
-            dead.add(("final", victim))
-            for node in exe.cell_nodes[victim].values():
-                if victim in node.cells:
-                    node.cells.remove(victim)
-                if not node.cells and node.key not in records:
-                    dead.add(("node", node.key))
-
-        def node_done(key: Tuple, record: NodeRecord) -> None:
-            node = exe.nodes[key]
-            records[key] = record
-            if node.cells:
-                computed_by[key] = node.cells[0]
-                if record.attempts > 1:
-                    first = min(node.cells)
-                    cell_attempts[first] = max(
-                        cell_attempts.get(first, 1), record.attempts
-                    )
-            exe.counters.stage(node.stage.name).executed += 1
-            for entry in dependents.get(key, ()):
-                if entry in dead:
-                    continue
-                missing[entry] -= 1
-                if missing[entry] == 0:
-                    push(entry)
-
-        def node_failed(key: Tuple, error) -> None:
-            """Charge the first pending consumer; keep the rest alive."""
-            node = exe.nodes[key]
-            if not node.cells:
-                return  # every consumer was cancelled meanwhile
-            victim = min(node.cells)
-            resolution, orientation = grid[victim]
-            attributed = replace(
-                error,
-                resolution=resolution.name,
-                orientation=orientation.value,
-                attempts=max(error.attempts, cell_attempts.get(victim, 1)),
-            )
-            errors[victim] = attributed
-            # The audit trail must witness the failed cell even though
-            # its finalize step never runs.
-            with obs.span(
-                "sweep.cell",
-                cell=cell_label(victim),
-                resolution=resolution.name,
-                orientation=orientation.value,
-            ):
-                obs.annotate(
-                    outcome="error",
-                    error_type=attributed.error_type,
-                    attempts=attributed.attempts,
-                )
-            cancel_cell(victim)
-            if not self.keep_going:
-                state["abort"] = True
-                return
-            if node.cells:
-                # Surviving cells still need the node; its fault budget
-                # was spent on the victim's attempt, so re-queue it.
-                push(("node", key))
-
-        def stage_log_for(index: int) -> Tuple[StageExecution, ...]:
-            log = []
-            for stage in chain.graph.order:
-                node = exe.cell_nodes[index].get(stage.name)
-                if node is None:
-                    continue
-                record = records.get(node.key)
-                if record is None:
-                    continue
-                mine = computed_by.get(node.key) == index
-                log.append(StageExecution(
-                    stage.name,
-                    node.digest,
-                    record.cache_hit if mine else True,
-                    record.seconds if mine else 0.0,
-                ))
-            return tuple(log)
-
-        def finalize_done(index, fingerprint, assessment, attempts) -> None:
-            resolution, orientation = grid[index]
-            cell = SweepCellResult(
-                resolution=resolution.name,
-                orientation=orientation.value,
-                fingerprint=fingerprint,
-                assessment=assessment,
-                stage_log=stage_log_for(index),
-                attempts=max(attempts, cell_attempts.get(index, 1)),
-            )
-            results[index] = cell
-            if journal is not None:
-                journal.append(keys[index], cell)
-
-        def absorb(entry, result, error) -> None:
-            if entry[0] == "node":
-                if error is not None:
-                    node_failed(entry[1], error)
-                else:
-                    node_done(entry[1], result)
-            else:
-                index = entry[1]
-                if error is not None:
-                    errors[index] = replace(
-                        error,
-                        attempts=max(
-                            error.attempts, cell_attempts.get(index, 1)
-                        ),
-                    )
-                    if not self.keep_going:
-                        state["abort"] = True
-                else:
-                    finalize_done(index, *result)
-
-        def run_entry_inline(entry, chain, cache) -> None:
-            """Execute one entry in this process (serial mode and the
-            degraded tail share this path with the workers' logic)."""
-            if entry[0] == "node":
-                node = exe.nodes[entry[1]]
-                index = node.cells[0]
-                ctx = contexts[index]
-                try:
-                    record = execute_node(
-                        chain, cache, node.stage.name, node.digest, ctx,
-                        exe.cell_digests[index], cell_label(index),
-                        self.retry, self.cell_timeout_s,
-                    )
-                except Exception as exc:
-                    resolution, orientation = grid[index]
-                    absorb(entry, None, cell_error_from_exception(
-                        resolution.name, orientation.value, exc, self.retry
-                    ))
-                    return
-                absorb(entry, record, None)
-            else:
-                index = entry[1]
-                ctx = contexts[index]
-                try:
-                    result = execute_finalize(
-                        chain, cache, ctx, exe.cell_digests[index],
-                        cell_label(index), assess, self.retry,
-                        self.cell_timeout_s, cell_attempts.get(index, 1),
-                    )
-                except Exception as exc:
-                    resolution, orientation = grid[index]
-                    absorb(entry, None, cell_error_from_exception(
-                        resolution.name, orientation.value, exc, self.retry
-                    ))
-                    return
-                absorb(entry, result, None)
-
-        def run_serially(chain, cache) -> None:
-            while not state["abort"]:
-                entry = pop()
-                if entry is None:
-                    break
-                run_entry_inline(entry, chain, cache)
-
-        with obs.span(
-            "graph.run",
-            jobs=self.jobs,
-            cells=len(contexts),
-            nodes=len(exe.nodes),
-            dedupe=self.dedupe,
-        ):
-            if serial:
-                run_serially(chain, cache)
-                stats = cache.stats.snapshot()
-            else:
-                self._run_pool(
-                    exe, grid, cache_dir, analyze_seam, model_ref, assess,
-                    stats, state, pop, push, absorb, cell_attempts,
-                    transport,
-                )
-                if state["degraded"]:
-                    tail_cache = DiskStageCache(cache_dir)
-                    tail_chain = self.config.build(tail_cache)
-                    # The parent-side contexts were planning-only; the
-                    # tail materializes artifacts from the shared disk
-                    # cache exactly like a worker would.
-                    run_serially(tail_chain, tail_cache)
-                    stats.merge(tail_cache.stats.snapshot())
-            obs.annotate(
-                scheduled=exe.counters.total_scheduled,
-                deduped=exe.counters.total_deduped,
-                executed=exe.counters.total_executed,
-            )
-
-        return SweepReport(
-            cells=[results[i] for i in sorted(results)],
-            errors=[errors[i] for i in sorted(errors)],
-            stats=stats,
-            jobs=self.jobs,
-            resumed=len(replayed),
-            pool_rebuilds=(
-                state["rebuilds"]
-                if not state["degraded"]
-                else self.max_pool_rebuilds
-            ),
-            degraded_to_serial=state["degraded"],
-            scheduler=exe.counters,
-            transport=transport,
-        )
-
-    # -- pool dispatch -------------------------------------------------------
-
-    def _payload(
-        self, exe, grid, cache_dir, analyze_seam, model_ref, assess, entry,
-        cell_attempts_hint, trace,
-    ):
-        if entry[0] == "node":
-            node = exe.nodes[entry[1]]
-            index = node.cells[0]
-            kind, stage_name, digest = "node", node.stage.name, node.digest
-            payload_assess = None
-        else:
-            index = entry[1]
-            kind, stage_name, digest = "final", None, None
-            payload_assess = assess
-        resolution, orientation = grid[index]
-        return (
-            self.config,
-            cache_dir,
-            kind,
-            stage_name,
-            digest,
-            resolution,
-            orientation,
-            analyze_seam,
-            model_ref,
-            exe.cell_digests[index],
-            self.retry,
-            self.cell_timeout_s,
-            trace,
-            payload_assess,
-            cell_attempts_hint,
-        )
-
-    def _run_pool(
-        self, exe, grid, cache_dir, analyze_seam, model_ref, assess, stats,
-        state, pop, push, absorb, cell_attempts, transport,
-    ) -> None:
-        trace = obs.enabled()
-        tracer = obs.get_tracer()
-        handle = model_ref[0] == "handle"
-        sizes: Dict[Any, int] = {}  # future -> pickled payload bytes
-
-        def record_result(future, shipped) -> None:
-            if transport is None:
-                return
-            transport.record(
-                sizes.pop(future, 0),
-                len(pickle.dumps(shipped, protocol=pickle.HIGHEST_PROTOCOL)),
-                handle,
-            )
-
-        def hint(entry) -> int:
-            # Finalize payloads carry the max attempts this cell's
-            # nodes spent, so the worker's sweep.cell span reports the
-            # cell's true total.
-            if entry[0] != "final":
-                return 1
-            return cell_attempts.get(entry[1], 1)
-
-        def adopt(spans):
-            if spans and tracer is not None:
-                tracer.adopt(spans)
-
-        # Warm-pool support (ISSUE 9): when the caller supplied a
-        # WorkerPool the run *leases* its executor and leaves it alive
-        # on completion, so the next run lands on workers whose
-        # per-process caches are already populated.  Without one the
-        # run owns a throwaway handle with the legacy lifetime.
-        pool_handle = self.pool if self.pool is not None else WorkerPool(self.jobs)
-        owned = pool_handle is not self.pool
-        try:
-            while not state["abort"]:
-                inflight: Dict[Any, Tuple] = {}
-                try:
-                    pool = pool_handle.get()
-                    while not state["abort"]:
-                        while True:
-                            entry = pop()
-                            if entry is None:
-                                break
-                            payload = self._payload(
-                                exe, grid, cache_dir, analyze_seam,
-                                model_ref, assess, entry, hint(entry),
-                                trace,
-                            )
-                            try:
-                                future = pool.submit(_run_node_task, payload)
-                            except BrokenProcessPool:
-                                push(entry)
-                                raise
-                            if transport is not None:
-                                sizes[future] = len(pickle.dumps(
-                                    payload,
-                                    protocol=pickle.HIGHEST_PROTOCOL,
-                                ))
-                            inflight[future] = entry
-                        if not inflight:
-                            break
-                        done, _ = wait(
-                            list(inflight), return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            entry = inflight[future]
-                            shipped = future.result()
-                            result, error, delta, spans = shipped
-                            del inflight[future]
-                            record_result(future, shipped)
-                            stats.merge(delta)
-                            adopt(spans)
-                            absorb(entry, result, error)
-                    return  # clean completion (or abort)
-                except BrokenProcessPool:
-                    # One or more workers died mid-node (dr0wned-style
-                    # sabotage, OOM kill, segfault).  Harvest what
-                    # finished, requeue the lost entries, and rebuild
-                    # the pool a bounded number of times before
-                    # degrading to serial.
-                    state["rebuilds"] += 1
-                    for future, entry in list(inflight.items()):
-                        harvested = False
-                        if future.done() and not future.cancelled():
-                            try:
-                                shipped = future.result()
-                                result, error, delta, spans = shipped
-                            except BaseException:
-                                pass
-                            else:
-                                record_result(future, shipped)
-                                stats.merge(delta)
-                                adopt(spans)
-                                absorb(entry, result, error)
-                                harvested = True
-                        if not harvested:
-                            push(entry)
-                    sizes.clear()
-                    # Dead workers may have published shared-memory
-                    # blocks they can no longer clean up; reap them
-                    # before the replacement pool republishes what it
-                    # needs.
-                    self._shm_cleanup(cache_dir)
-                    if state["rebuilds"] > self.max_pool_rebuilds:
-                        state["degraded"] = True
-                        return
-                    pool_handle.rebuild()
-        finally:
-            if owned:
-                pool_handle.shutdown()
-            elif state["degraded"]:
-                # A shared pool must come back healthy for its next
-                # lease; swap the broken executor out now.
-                pool_handle.rebuild()

@@ -25,10 +25,7 @@ across many requests from many tenants:
 * jobs carry priorities and optional deadlines (fleet scheduling
   order) and can be *cancelled*: a queued job leaves the queue; an
   admitted job releases the nodes no other job claims (shared nodes
-  survive untouched);
-* on startup the service reaps shared-memory registries a SIGKILLed
-  predecessor left under the cache directory
-  (:func:`repro.pipeline.shm.reap_stale`).
+  survive untouched).
 
 The service is transport-agnostic; :mod:`repro.service.http` fronts it
 with a versioned stdlib HTTP/JSON API (``/v1/``), and tests drive it
@@ -56,7 +53,6 @@ from repro.pipeline import (
     WorkerPool,
     digest_parts,
 )
-from repro.pipeline import shm as shm_tier
 from repro.pipeline.resilience import NO_RETRY, RetryPolicy
 from repro.service.jobs import (
     MACHINES,
@@ -153,12 +149,6 @@ class ObfuscadeService:
         self._gate = threading.Event()
         self._gate.set()
         self._thread: Optional[threading.Thread] = None
-        # A predecessor killed uncatchably (SIGKILL) could not reap the
-        # shared-memory blocks its registry names; adopt-and-reap now,
-        # before any job republishes segments (ISSUE 9 satellite).
-        reaped = shm_tier.reap_stale(self.cache_dir)
-        if reaped:
-            self.metrics.inc("service.shm_stale_reaped", reaped)
 
     # -- model / key derivation ----------------------------------------------
 
@@ -440,8 +430,6 @@ class ObfuscadeService:
             "jobs": self.jobs,
             "max_concurrent_jobs": self.max_concurrent_jobs,
             "cache_dir": str(self.cache_dir),
-            "dedupe": True,
-            "shm": shm_tier.shm_enabled(),
         }
         doc = manifest_mod.sweep_manifest(
             report,

@@ -21,8 +21,10 @@ non-2xx response carries the one
     (default ``anon``).  **202** with the
     :class:`~repro.service.schema.JobView` plus a top-level
     ``joined`` flag (true when the request coalesced onto an in-flight
-    identical job); **400** ``invalid_request``; **429** ``queue_full``
-    / ``tenant_quota`` with the admission numbers in ``detail``.
+    identical job); **400** ``invalid_request`` (also for a negative or
+    non-integer ``Content-Length``); **413** ``payload_too_large`` for
+    a body over :data:`MAX_BODY_BYTES`; **429** ``queue_full`` /
+    ``tenant_quota`` with the admission numbers in ``detail``.
 ``GET /v1/jobs/{id}``
     **200** JobView, **404** ``not_found``.
 ``GET /v1/jobs/{id}/result?wait=S``
@@ -58,6 +60,10 @@ from repro.service.schema import API_VERSION, ErrorEnvelope, JobView
 #: Server-side clamp on ``?wait=`` long-polls, seconds.  Documented in
 #: the API: a larger ``wait`` is accepted but truncated to this.
 MAX_WAIT_S = 60.0
+
+#: Largest request body accepted, bytes.  A v1 submit body is well
+#: under 1 KiB; anything larger is refused before it is read.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -147,10 +153,29 @@ class _Handler(BaseHTTPRequestHandler):
             self._not_found()
             return
         service = self.server.service
+        declared = self.headers.get("Content-Length")
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(declared) if declared else 0
         except ValueError:
-            length = 0
+            length = -1
+        # The body is refused unread: a negative length would block
+        # rfile.read until the client hangs up, an oversized one would
+        # be buffered whole.
+        if length < 0:
+            self._send_error(400, ErrorEnvelope(
+                code="invalid_request",
+                message="Content-Length must be a non-negative integer",
+                detail={"content_length": declared},
+            ))
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_error(413, ErrorEnvelope(
+                code="payload_too_large",
+                message=f"request body over {MAX_BODY_BYTES} bytes",
+                detail={"content_length": length,
+                        "max_bytes": MAX_BODY_BYTES},
+            ))
+            return
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw or b"{}")

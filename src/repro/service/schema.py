@@ -8,8 +8,9 @@ The v1 HTTP surface (:mod:`repro.service.http`) and the Python SDK
 * :class:`ErrorEnvelope` - the single error shape **every** non-2xx
   response carries: ``{"error": {"code", "message", "detail"}}``.
   ``code`` is a stable machine-readable string (``invalid_request``,
-  ``queue_full``, ``tenant_quota``, ``not_found``, ``not_cancellable``,
-  ``internal``), ``message`` is human-readable, and ``detail`` is an
+  ``payload_too_large``, ``queue_full``, ``tenant_quota``,
+  ``not_found``, ``not_cancellable``, ``internal``), ``message`` is
+  human-readable, and ``detail`` is an
   optional object with the numbers behind the decision (queue depths,
   quotas, ...).
 

@@ -1,9 +1,9 @@
 """Tests for repro.envflags - the one boolean parser for OBFUSCADE_* switches.
 
-Includes the ISSUE 9 regression tests: ``OBFUSCADE_SHM=false`` used to
-*enable* the shared-memory tier (any non-empty, non-"0" string was
-truthy), and ``OBFUSCADE_FAULTS=false`` used to leave fault injection
-armed (only the exact string "0" disabled it).
+Includes the regression tests for two parsing bugs: a switch set to
+``false`` used to *enable* its feature (any non-empty, non-"0" string
+was truthy), and ``OBFUSCADE_FAULTS=false`` used to leave fault
+injection armed (only the exact string "0" disabled it).
 """
 
 import warnings
@@ -59,28 +59,30 @@ class TestEnvFlag:
         assert env_flag("OBFUSCADE_TEST_FLAG", default=True) is True
 
 
-class TestShmSwitchRegression:
-    """OBFUSCADE_SHM must honour every falsy spelling (ISSUE 9 bugfix)."""
+class TestSwitchSpellingRegression:
+    """A switch must honour every falsy spelling, read through
+    env_flag from the real OBFUSCADE_FAULTS variable."""
 
     @pytest.mark.parametrize("raw", ["false", "no", "off", "0"])
-    def test_falsy_disables_the_tier(self, monkeypatch, raw):
-        from repro.pipeline import shm as shm_tier
+    def test_falsy_disables_the_switch(self, monkeypatch, raw):
+        from repro.faults import injector
 
-        monkeypatch.setenv(shm_tier.SHM_ENV, raw)
-        assert not shm_tier.shm_enabled()
+        monkeypatch.setenv(injector.SWITCH_ENV, raw)
+        assert env_flag(injector.SWITCH_ENV, default=True) is False
 
     @pytest.mark.parametrize("raw", ["1", "true", "on"])
-    def test_truthy_enables_the_tier(self, monkeypatch, raw):
-        from repro.pipeline import shm as shm_tier
+    def test_truthy_enables_the_switch(self, monkeypatch, raw):
+        from repro.faults import injector
 
-        monkeypatch.setenv(shm_tier.SHM_ENV, raw)
-        assert shm_tier.shm_enabled()
+        monkeypatch.setenv(injector.SWITCH_ENV, raw)
+        assert env_flag(injector.SWITCH_ENV, default=False) is True
 
-    def test_unset_is_off(self, monkeypatch):
-        from repro.pipeline import shm as shm_tier
+    def test_unset_is_the_default(self, monkeypatch):
+        from repro.faults import injector
 
-        monkeypatch.delenv(shm_tier.SHM_ENV, raising=False)
-        assert not shm_tier.shm_enabled()
+        monkeypatch.delenv(injector.SWITCH_ENV, raising=False)
+        assert env_flag(injector.SWITCH_ENV) is False
+        assert env_flag(injector.SWITCH_ENV, default=True) is True
 
 
 class TestFaultsSwitchRegression:

@@ -167,6 +167,35 @@ class TestCrossJobMerging:
         assert fleet.cancel("job-c")
 
 
+class TestAbort:
+    def test_keep_going_false_completes_the_victim_job(
+        self, protected, config, tmp_path
+    ):
+        """A failed cell under keep_going=False cancels the job's other
+        cells and completes the job with the error; the job must not
+        stay admitted with nothing left to run."""
+        from repro import faults
+        from repro.faults import FaultPlan, FaultSpec
+
+        faults.install(FaultPlan((
+            FaultSpec("stage.tessellate.output", "nan-vertices", times=1),
+        )))
+        try:
+            fleet = FleetScheduler(cache_dir=tmp_path, keep_going=False)
+            job = fleet.admit(
+                FleetJob("abort", protected.model, GRID_A, config)
+            )
+            for _ in range(100):  # bounded: a stuck fleet must fail
+                if not fleet.has_work():
+                    break
+                fleet.step()
+        finally:
+            faults.uninstall()
+        assert not fleet.has_work()
+        assert job.report is not None and job.report.cells == []
+        assert [e.stage for e in job.report.errors] == ["tessellate"]
+
+
 class TestCancellation:
     def test_cancel_while_queued_releases_unshared_nodes(
         self, protected, config, tmp_path

@@ -260,7 +260,7 @@ class TestTracedSweepIntegration:
         # spans more than one pid.
         assert len({row["pid"] for row in spans}) >= 2
         names = {row["name"] for row in spans}
-        assert {"sweep.run", "sweep.cell", "graph.run", "cache.get"} <= names
+        assert {"sweep.run", "sweep.cell", "fleet.job", "cache.get"} <= names
 
         # Span-derived per-stage totals match the report's own counters.
         totals = export.stage_totals(spans)

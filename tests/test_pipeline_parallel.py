@@ -9,15 +9,21 @@ process and run boundaries.
 """
 
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
 
-from repro.cad import COARSE, StlResolution
+from repro.cad import COARSE, FINE, StlResolution, custom_resolution
 from repro.obfuscade.attack import CounterfeiterSimulator
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
-from repro.pipeline import DiskStageCache, ParallelSweep, outcome_fingerprint
+from repro.pipeline import (
+    DiskStageCache,
+    ParallelSweep,
+    SweepJournal,
+    outcome_fingerprint,
+)
 from repro.printer.artifact import pack_artifact, unpack_artifact
 from repro.printer.orientation import PrintOrientation
 
@@ -155,6 +161,90 @@ class TestCounterfeiterParallel:
         assert parallel_rows == serial_rows
         assert result.cache_stats is not None
         assert result.cache_stats.total_misses > 0
+
+
+FULL_RESOLUTIONS = (COARSE, FINE, custom_resolution())
+FULL_ORIENTATIONS = (
+    PrintOrientation.XY, PrintOrientation.XZ, PrintOrientation.YZ,
+)
+
+
+def _grid_fingerprints(report):
+    return {(c.resolution, c.orientation): c.fingerprint for c in report.cells}
+
+
+class TestOneJobFleet:
+    """Every executor sweep is a one-job fleet; on the full 3x3 grid
+    each way of running it must reproduce the serial whole-cell oracle
+    (``CounterfeiterSimulator`` on one ``ProcessChain``) bit-for-bit."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, protected):
+        result = CounterfeiterSimulator(
+            resolutions=FULL_RESOLUTIONS, orientations=FULL_ORIENTATIONS,
+        ).attack(protected)
+        assert not result.failed and result.report.scheduler is None
+        fingerprints = _grid_fingerprints(result.report)
+        assert len(fingerprints) == 9
+        return fingerprints
+
+    def _sweep(self, protected, **kwargs):
+        report = ParallelSweep(**kwargs).run(
+            protected.model, FULL_RESOLUTIONS, FULL_ORIENTATIONS,
+            assess=assess_print,
+        )
+        assert report.ok
+        return report
+
+    def test_inline_without_cache_dir_writes_nothing(
+        self, protected, oracle, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = self._sweep(protected, jobs=1)
+        assert list(tmp_path.iterdir()) == []
+        assert _grid_fingerprints(report) == oracle
+        assert report.transport is None
+        tess = report.scheduler.stages["tessellate"]
+        assert tess.scheduled == tess.executed == len(FULL_RESOLUTIONS)
+
+    def test_inline_on_cache_dir_then_partial_resume(
+        self, protected, oracle, tmp_path
+    ):
+        cache_dir = tmp_path / "cache"
+        journal = tmp_path / "sweep.jsonl"
+        report = self._sweep(
+            protected, jobs=1, cache_dir=str(cache_dir),
+            journal_path=str(journal),
+        )
+        assert _grid_fingerprints(report) == oracle
+        assert report.stats.total_misses > 0
+        # Crash after four cells: resume replays them and recomputes
+        # the other five from the warm disk cache.
+        partial = tmp_path / "partial.jsonl"
+        lines = journal.read_text().splitlines()
+        assert len(lines) == 9
+        partial.write_text("\n".join(lines[:4]) + "\n")
+        SweepJournal(partial).key_path.write_text(
+            SweepJournal(journal).key_path.read_text()
+        )
+        resumed = self._sweep(
+            protected, jobs=1, cache_dir=str(cache_dir),
+            journal_path=str(partial), resume=True,
+        )
+        assert resumed.resumed == 4
+        assert resumed.stats.total_misses == 0
+        assert _grid_fingerprints(resumed) == oracle
+        assert resumed.scheduler.stages["tessellate"].requested == 5
+
+    def test_pooled_cold_then_warm(self, protected, oracle, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cold = self._sweep(protected, jobs=2, cache_dir=cache_dir)
+        assert _grid_fingerprints(cold) == oracle
+        assert cold.transport.inline_tasks == 0
+        warm = self._sweep(protected, jobs=2, cache_dir=cache_dir)
+        assert warm.stats.total_misses == 0
+        assert _grid_fingerprints(warm) == oracle
 
 
 class TestDiskStageCache:

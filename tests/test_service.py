@@ -12,6 +12,7 @@ Three tiers:
   a direct in-process sweep of the same grid.
 """
 
+import http.client
 import json
 import sys
 import threading
@@ -19,6 +20,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 from urllib.error import HTTPError
+from urllib.parse import urlparse
 from urllib.request import Request, urlopen
 
 import pytest
@@ -34,6 +36,7 @@ from repro.service import (
     ObfuscadeService,
     ServiceServer,
 )
+from repro.service.http import MAX_BODY_BYTES
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -198,6 +201,24 @@ def make_admission(tmp_path):
         service.stop()
 
 
+def _raw_post(url, content_length, body=b""):
+    """POST /v1/jobs with a hand-set Content-Length header over a raw
+    connection; a server that blocks on the body trips the timeout."""
+    parts = urlparse(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        if body:
+            conn.send(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
 @pytest.fixture
 def admission(make_admission):
     return make_admission(queue_depth=2)
@@ -261,6 +282,22 @@ class TestAdmissionOverHttp:
     def test_validation_maps_to_400(self, admission, payload):
         code, doc = _http("POST", admission.url + "/submit", payload)
         assert code == 400 and doc["error"]["code"] == "invalid_request"
+
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_bad_content_length_is_400(self, admission, length):
+        code, doc = _raw_post(admission.url, length, b"{}")
+        assert code == 400 and doc["error"]["code"] == "invalid_request"
+        assert doc["error"]["detail"]["content_length"] == length
+        assert admission.service.queue.snapshot()["queued"] == 0
+
+    def test_oversized_body_is_413_unread(self, admission):
+        code, doc = _raw_post(admission.url, str(MAX_BODY_BYTES + 1), b"{}")
+        assert code == 413 and doc["error"]["code"] == "payload_too_large"
+        assert doc["error"]["detail"] == {
+            "content_length": MAX_BODY_BYTES + 1,
+            "max_bytes": MAX_BODY_BYTES,
+        }
+        assert admission.service.queue.snapshot()["queued"] == 0
 
     def test_unknown_routes_404(self, admission):
         assert _http("GET", admission.url + "/status/job-99999")[0] == 404

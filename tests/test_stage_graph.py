@@ -3,8 +3,8 @@
 ISSUE 6 tentpole: the process chain is a declarative, validated
 :class:`~repro.pipeline.graph.StageGraph` (construction rejects cycles,
 dangling dependencies and artifact-contract mismatches), and sweeps run
-on a merged :class:`~repro.pipeline.graph.ExecutionGraph` whose
-scheduler executes shared upstream nodes exactly once fleet-wide.
+as a one-job fleet whose scheduler executes shared upstream nodes
+exactly once.
 
 The acceptance test at the bottom is the PR's contract: a cold
 3-resolution x 3-orientation sweep produces outcome fingerprints
@@ -16,23 +16,21 @@ proved by scheduler counters rather than cache-hit luck.
 import pytest
 
 from repro.cad import COARSE, StlResolution
-from repro.mesh.content_hash import model_digest
 from repro.obfuscade.obfuscator import Obfuscator
 from repro.obfuscade.quality import assess_print
 from repro.pipeline import (
     ArtifactContract,
     ChainArtifacts,
-    ExecutionGraph,
     ParallelSweep,
     PipelineConfigError,
     ProcessChain,
     StageGraph,
     StageGraphError,
 )
-from repro.pipeline.chain import ChainContext
+from repro.pipeline.fleet import FleetJob, FleetScheduler
 from repro.pipeline.parallel import execute_cell
 from repro.pipeline.resilience import NO_RETRY
-from repro.pipeline.scheduler import SWEEP_EXCLUDED
+from repro.pipeline.scheduler import ChainConfig
 from repro.pipeline.stage import Stage
 from repro.printer.orientation import PrintOrientation
 
@@ -181,66 +179,45 @@ class TestChainArtifacts:
 
 
 class TestExecutionGraphPlanning:
-    """Merging N x M cells dedupes orientation-independent nodes."""
+    """Merging N x M cells dedupes orientation-independent nodes at
+    admission, before a single node executes."""
 
-    def _plan(self, protected, dedupe=True):
+    def _plan(self, protected):
         chain = ProcessChain()
-        exe = ExecutionGraph(chain.graph, dedupe=dedupe)
-        digest = model_digest(protected.model)
-        for index, (resolution, orientation) in enumerate(
-            (r, o) for r in RESOLUTIONS for o in ORIENTATIONS
-        ):
-            ctx = ChainContext(
-                chain=chain,
-                model=protected.model,
-                resolution=resolution,
-                orientation=orientation,
-                analyze_seam=True,
-            )
-            ctx.digests["model"] = digest
-            exe.add_cell(
-                index, ctx, {"model": digest}, exclude=SWEEP_EXCLUDED
-            )
-        return exe
+        config = ChainConfig(
+            machine=chain.machine,
+            settings=chain.base_settings,
+            raster_cell_mm=chain.simulator.raster_cell_mm,
+            plate_margin_mm=chain.plate_margin_mm,
+        )
+        job = FleetJob(
+            "plan",
+            protected.model,
+            [(r, o) for r in RESOLUTIONS for o in ORIENTATIONS],
+            config,
+        )
+        fleet = FleetScheduler(None, jobs=1)
+        try:
+            fleet.admit(job)
+        finally:
+            fleet.shutdown()
+        return job
 
     def test_shared_stages_scheduled_once_per_resolution(self, protected):
-        exe = self._plan(protected)
+        counters = self._plan(protected).counters
         for name in ("tessellate", "resolve"):
-            counters = exe.counters.stages[name]
-            assert counters.requested == N_CELLS
-            assert counters.scheduled == len(RESOLUTIONS)
-            assert counters.deduped == N_CELLS - len(RESOLUTIONS)
+            stage = counters.stages[name]
+            assert stage.requested == N_CELLS
+            assert stage.scheduled == len(RESOLUTIONS)
+            assert stage.deduped == N_CELLS - len(RESOLUTIONS)
         # Orientation-dependent stages stay one node per cell.
-        seam = exe.counters.stages["seam"]
+        seam = counters.stages["seam"]
         assert seam.scheduled == N_CELLS and seam.deduped == 0
         # The opt-in validate stage is not part of a sweep.
-        assert "validate" not in exe.counters.stages
-        assert exe.counters.total_requested == (
-            exe.counters.total_scheduled + exe.counters.total_deduped
+        assert "validate" not in counters.stages
+        assert counters.total_requested == (
+            counters.total_scheduled + counters.total_deduped
         )
-
-    def test_ablation_plans_one_node_per_cell(self, protected):
-        exe = self._plan(protected, dedupe=False)
-        assert not exe.counters.dedupe
-        tess = exe.counters.stages["tessellate"]
-        assert tess.scheduled == N_CELLS and tess.deduped == 0
-
-    def test_cannot_exclude_a_stage_with_consumers(self, protected):
-        chain = ProcessChain()
-        exe = ExecutionGraph(chain.graph)
-        ctx = ChainContext(
-            chain=chain,
-            model=protected.model,
-            resolution=COARSE,
-            orientation=PrintOrientation.XY,
-            analyze_seam=True,
-        )
-        digest = model_digest(protected.model)
-        ctx.digests["model"] = digest
-        with pytest.raises(StageGraphError, match="cannot exclude"):
-            exe.add_cell(
-                0, ctx, {"model": digest}, exclude=("tessellate",)
-            )
 
 
 class TestSchedulerEquivalence:
@@ -275,11 +252,21 @@ class TestSchedulerEquivalence:
         ] == legacy_fingerprints
 
     def test_shared_nodes_execute_once_fleet_wide(self, serial_report):
-        stages = serial_report.scheduler.stages
+        scheduler = serial_report.scheduler
+        stages = scheduler.stages
         for name in ("tessellate", "resolve"):
             assert stages[name].requested == N_CELLS
             assert stages[name].scheduled == len(RESOLUTIONS)
+            assert stages[name].deduped == N_CELLS - len(RESOLUTIONS)
             assert stages[name].executed == len(RESOLUTIONS)
+        # Orientation-dependent stages stay one node per cell, and the
+        # opt-in validate stage is not part of a sweep.
+        assert stages["seam"].scheduled == N_CELLS
+        assert stages["seam"].deduped == 0
+        assert "validate" not in stages
+        assert scheduler.total_requested == (
+            scheduler.total_scheduled + scheduler.total_deduped
+        )
         # Scheduling is exact, so a cold sweep's cache misses equal the
         # scheduled node count - no racing duplicate computes.
         assert (
@@ -298,26 +285,3 @@ class TestSchedulerEquivalence:
         stages = report.scheduler.stages
         for name in ("tessellate", "resolve"):
             assert stages[name].executed == len(RESOLUTIONS)
-
-    def test_dedupe_ablation_identical_artifacts(self, protected):
-        """dedupe=False replans the legacy one-node-per-cell schedule;
-        artifacts must not change - dedup is purely a scheduling
-        property."""
-        grid = (RESOLUTIONS[0],), ORIENTATIONS[:2]
-        merged = ParallelSweep(dedupe=True).run(
-            protected.model, *grid, assess=assess_print
-        )
-        ablated = ParallelSweep(dedupe=False).run(
-            protected.model, *grid, assess=assess_print
-        )
-        assert [c.fingerprint for c in merged.cells] == [
-            c.fingerprint for c in ablated.cells
-        ]
-        assert merged.scheduler.dedupe and not ablated.scheduler.dedupe
-        assert merged.scheduler.stages["tessellate"].scheduled == 1
-        assert merged.scheduler.stages["tessellate"].deduped == 1
-        assert ablated.scheduler.stages["tessellate"].scheduled == 2
-        assert ablated.scheduler.stages["tessellate"].deduped == 0
-        # The ablation's shared cache still dedupes the *compute*.
-        assert ablated.stats.stages["tessellate"].misses == 1
-        assert ablated.stats.stages["tessellate"].hits == 1
