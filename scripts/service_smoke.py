@@ -3,11 +3,14 @@
 
 Drives a real :class:`ObfuscadeService` through the v1 HTTP API with
 the :class:`repro.client.ServiceClient` SDK, the way CI exercises the
-other subsystems (ISSUE 9 + ISSUE 10 acceptance):
+other subsystems:
 
 * N identical jobs submitted concurrently from distinct tenants must
-  coalesce onto ONE computation (one admission, N-1 joins, one run
-  manifest), while mixed-priority distinct jobs ride alongside;
+  all end ``done`` under N distinct job ids, and summed over their N
+  manifests each stage's cache misses must equal one cold run's: the
+  fleet (for jobs admitted together) and the shared disk tier (for
+  the rest) compute each stage once across the whole service, while
+  mixed-priority distinct jobs ride alongside;
 * the distinct jobs' grids overlap the shared one, and the fleet
   admits them concurrently (``--max-concurrent-jobs``), so the
   cross-job dedupe counters must prove shared nodes executed once
@@ -17,13 +20,14 @@ other subsystems (ISSUE 9 + ISSUE 10 acceptance):
   without perturbing any surviving job's results;
 * one more distinct submission beyond the queue depth must get a
   structured 429 envelope, never a hang;
-* the shared job's fingerprints must be bit-identical to a serial CLI
-  sweep of the same grid (``--baseline``);
+* every identical job's fingerprints must be bit-identical to a
+  serial CLI sweep of the same grid (``--baseline``);
 * ``check_run_artifacts.py`` must pass on EVERY completed job's
   manifest + trace (per-job accounting stays exact under the fleet);
 * the warm worker pool must survive every job without a rebuild.
 
-The shared job's manifest and trace are copied to stable names
+The first-admitted identical job - the one that scheduled the shared
+nodes - has its manifest and trace copied to stable names
 (``shared.manifest.json`` / ``shared.trace.jsonl`` under ``--out``) so
 a follow-up ``check_run_artifacts.py`` step can schema-check them.
 
@@ -46,11 +50,11 @@ from repro.service import ObfuscadeService, ServiceServer
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import check_run_artifacts  # noqa: E402 - sibling script
 
-#: The coalescing target: every "identical" submission sends exactly this.
+#: Every "identical" submission sends exactly this.
 SHARED = {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-y"]}
-#: Distinct jobs that must NOT coalesce with the shared one.  Their
-#: grids overlap it (and each other), at different priorities, so the
-#: fleet must dedupe their shared nodes across job boundaries.
+#: Distinct jobs whose grids overlap the shared one (and each other),
+#: at different priorities, so the fleet must dedupe their shared
+#: nodes across job boundaries.
 DISTINCT = [
     {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-z"],
      "priority": 1},
@@ -85,48 +89,38 @@ def main(argv=None) -> int:
         out_dir=out / "runs",
         jobs=args.jobs,
         max_concurrent_jobs=args.max_concurrent_jobs,
-        queue_depth=2 + len(DISTINCT),
+        # Room for every identical, distinct and doomed job: the
+        # overflow submission is the first one refused.
+        queue_depth=args.identical + len(DISTINCT) + 1,
     )
     server = ServiceServer(service, port=0)
     server.start()
     # Paused dispatcher: every submission lands while nothing runs, so
-    # the join/admit split and the queued-cancel are deterministic.
+    # the admission order and the queued-cancel are deterministic.
     service.start(paused=True)
     try:
-        views = [None] * args.identical
+        identical_ids = [None] * args.identical
         def submit(i):
             client = ServiceClient(server.url, tenant=f"tenant-{i}")
-            view = client.submit(**SHARED)
-            views[i] = (view, client.last_submit_joined)
+            identical_ids[i] = client.submit(**SHARED).job_id
         threads = [threading.Thread(target=submit, args=(i,))
                    for i in range(args.identical)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-
-        admissions = [v for v, joined in views if not joined]
-        joins = [v for v, joined in views if joined]
-        if len(admissions) != 1 or len(joins) != args.identical - 1:
+        if len(set(identical_ids)) != args.identical:
             problems.append(
-                f"{args.identical} identical submissions produced "
-                f"{len(admissions)} admissions + {len(joins)} joins "
-                f"(want 1 + {args.identical - 1})"
+                f"{args.identical} identical submissions got "
+                f"{len(set(identical_ids))} distinct job ids "
+                f"(want one job each)"
             )
-        shared_id = admissions[0].job_id if admissions else None
-        if any(v.job_id != shared_id for v in joins):
-            problems.append("joined submissions did not all share one job id")
 
-        distinct_ids = []
-        for i, payload in enumerate(DISTINCT):
-            client = ServiceClient(server.url, tenant=f"distinct-{i}")
-            view = client.submit(**payload)
-            if client.last_submit_joined:
-                problems.append(
-                    f"distinct job {i} joined {view.job_id} "
-                    f"(want a fresh admission)"
-                )
-            distinct_ids.append(view.job_id)
+        distinct_ids = [
+            ServiceClient(server.url, tenant=f"distinct-{i}")
+            .submit(**payload).job_id
+            for i, payload in enumerate(DISTINCT)
+        ]
 
         doomed_client = ServiceClient(server.url, tenant="doomed")
         doomed = doomed_client.submit(**DOOMED)
@@ -161,18 +155,49 @@ def main(argv=None) -> int:
 
         service.resume()
         waiter = ServiceClient(server.url, tenant="waiter")
-        shared_view = waiter.wait_result(shared_id, timeout_s=900)
+        identical_views = [waiter.wait_result(jid, timeout_s=900)
+                           for jid in identical_ids]
         distinct_views = [waiter.wait_result(jid, timeout_s=900)
                           for jid in distinct_ids]
-
-        for label, view in [("shared", shared_view)] + [
-            (f"distinct-{i}", v) for i, v in enumerate(distinct_views)
-        ]:
+        labelled = [
+            (f"identical-{i}", v) for i, v in enumerate(identical_views)
+        ] + [(f"distinct-{i}", v) for i, v in enumerate(distinct_views)]
+        for label, view in labelled:
             if view.state != "done":
                 problems.append(f"{label} job ended {view.state}: "
                                 f"{view.error}")
+        if problems:
+            return _report(problems)
 
+        # The first-admitted identical job scheduled the shared nodes.
+        shared_view = min(identical_views, key=lambda v: v.started_s)
         shared_fp = shared_view.result["fingerprints"]
+        for i, view in enumerate(identical_views):
+            if view.result["fingerprints"] != shared_fp:
+                problems.append(
+                    f"identical-{i} fingerprints diverge from the first "
+                    f"admitted job: {view.result['fingerprints']} != "
+                    f"{shared_fp}"
+                )
+
+        # Each stage computed once across the whole service: summed
+        # over the identical jobs' manifests, misses equal one cold
+        # run's (the baseline's; without one, a 1-cell grid's one miss
+        # per stage).
+        baseline = (manifest_mod.read_manifest(args.baseline)
+                    if args.baseline else None)
+        misses = _stage_misses(
+            manifest_mod.read_manifest(v.result["manifest"])
+            for v in identical_views
+        )
+        cold = (_stage_misses([baseline]) if baseline
+                else {stage: 1 for stage in misses})
+        if not misses or misses != cold:
+            problems.append(
+                f"identical jobs' summed per-stage cache misses are "
+                f"{misses} (want one cold run's: {cold})"
+            )
+
         merged_fp = dict(distinct_views[0].result["fingerprints"])
         merged_fp.update(shared_fp)
         both = distinct_views[1].result["fingerprints"]
@@ -182,20 +207,17 @@ def main(argv=None) -> int:
                 f"overlapping cells: {both} != {merged_fp}"
             )
 
-        if args.baseline:
-            baseline = manifest_mod.read_manifest(args.baseline)
-            if baseline.get("fingerprints") != shared_fp:
-                problems.append(
-                    "shared job fingerprints diverge from the serial CLI "
-                    f"baseline: {shared_fp} != "
-                    f"{baseline.get('fingerprints')}"
-                )
+        if baseline and baseline.get("fingerprints") != shared_fp:
+            problems.append(
+                "identical jobs' fingerprints diverge from the serial "
+                f"CLI baseline: {shared_fp} != {baseline.get('fingerprints')}"
+            )
 
         # The tentpole gate: concurrently admitted overlapping jobs
         # must have deduped at least one node across job boundaries.
         cross_job = sum(
             v.result["fleet"]["cross_job_deduped"]
-            for v in [shared_view] + distinct_views
+            for v in identical_views + distinct_views
         )
         if cross_job < 1:
             problems.append(
@@ -206,11 +228,9 @@ def main(argv=None) -> int:
         metrics = waiter.metrics()
         counters = metrics.get("counters", {})
         expect = {
-            "service.coalesced_jobs": 1,
-            "service.joined_waiters": args.identical - 1,
-            "service.jobs_submitted": 2 + len(DISTINCT),
+            "service.jobs_submitted": args.identical + len(DISTINCT) + 1,
             "service.jobs_rejected": 1,
-            "service.jobs_done": 1 + len(DISTINCT),
+            "service.jobs_done": args.identical + len(DISTINCT),
             "service.jobs_cancelled": 1,
         }
         for key, want in expect.items():
@@ -234,18 +254,10 @@ def main(argv=None) -> int:
         problems.extend(
             f"shared manifest schema: {p}" for p in schema_problems
         )
-        waiters = manifest_doc.get("service", {}).get("waiters")
-        if waiters != args.identical:
-            problems.append(
-                f"shared manifest records waiters={waiters}, "
-                f"want {args.identical}"
-            )
 
         # Per-job accounting must stay exact under the fleet: the
         # artifact checker passes on EVERY completed job.
-        for label, view in [("shared", shared_view)] + [
-            (f"distinct-{i}", v) for i, v in enumerate(distinct_views)
-        ]:
+        for label, view in labelled:
             found = check_run_artifacts.check(
                 view.result["trace"], view.result["manifest"],
                 jobs=args.jobs,
@@ -262,16 +274,31 @@ def main(argv=None) -> int:
         service.stop()
 
     if problems:
-        for p in problems:
-            print(f"SMOKE FAIL: {p}")
-        return 1
+        return _report(problems)
     print(
-        f"SMOKE OK: {args.identical} identical submissions -> 1 run "
-        f"({args.identical - 1} joins), {len(DISTINCT)} overlapping jobs "
-        f"cross-job deduped {cross_job} nodes, 1 queued job cancelled, "
-        f"overflow got a structured 429, artifacts exact on every job"
+        f"SMOKE OK: {args.identical} identical submissions -> "
+        f"{args.identical} jobs computing each stage once, "
+        f"{len(DISTINCT)} overlapping jobs, {cross_job} nodes deduped "
+        f"across jobs, 1 queued job cancelled, overflow got a "
+        f"structured 429, artifacts exact on every job"
     )
     return 0
+
+
+def _stage_misses(manifests) -> dict:
+    """Per-stage cache misses summed over ``manifests``."""
+    misses = {}
+    for doc in manifests:
+        for stage, row in doc["stages"].items():
+            if "misses" in row:
+                misses[stage] = misses.get(stage, 0) + row["misses"]
+    return misses
+
+
+def _report(problems) -> int:
+    for p in problems:
+        print(f"SMOKE FAIL: {p}")
+    return 1
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ Subcommands
     Reverse-engineer per-layer geometry from a G-code file (the
     ref [20] attack) and estimate the part volume.
 ``serve``
-    Long-lived multi-tenant job service over the sweep engine: HTTP
-    submissions are queued with admission control, identical in-flight
-    requests coalesce onto one computation, and every job reuses one
-    warm worker pool and disk cache.
+    Long-lived multi-tenant job service over the sweep engine: every
+    HTTP submission is queued as its own job with admission control,
+    concurrent jobs share overlapping stage nodes in one fleet, and
+    every job reuses one warm worker pool and disk cache.
 ``taxonomy`` / ``risks``
     Print the paper's Fig. 2 attack taxonomy / Table 1 risk matrix.
 
@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="multi-tenant obfuscation job service (versioned /v1 "
-        "HTTP/JSON API, request coalescing, concurrent cross-job "
-        "fleet scheduling and a warm worker pool)",
+        "HTTP/JSON API, concurrent cross-job fleet scheduling and a "
+        "warm worker pool)",
         parents=[executor_parent],
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="admission limit: queued jobs beyond this are rejected with "
-        "a structured 429 (coalesced joins are never rejected)",
+        "a structured 429 (identical submissions count like any other)",
     )
     p.add_argument(
         "--max-tenant-queued",
@@ -705,9 +705,7 @@ def _cmd_serve(args) -> int:
     print(f"cache: {cache_dir}")
     print(f"runs : {service.out_dir}")
     print("endpoints: POST /v1/jobs; GET /v1/jobs/<id>[/result?wait=S], "
-          "/v1/healthz, /v1/metrics; DELETE /v1/jobs/<id> "
-          "(legacy /submit, /status, /result answer with a "
-          "Deprecation header)")
+          "/v1/healthz, /v1/metrics; DELETE /v1/jobs/<id>")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

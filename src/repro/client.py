@@ -114,8 +114,10 @@ class ServiceClient:
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        #: Whether the most recent :meth:`submit` coalesced onto an
-        #: in-flight identical job.
+        #: Whether the most recent :meth:`submit` was answered with
+        #: ``"joined": true``: an older server merged identical
+        #: in-flight requests into one job.  A current server starts a
+        #: new job per submission, so this stays False against it.
         self.last_submit_joined = False
 
     # -- transport -----------------------------------------------------------
@@ -173,13 +175,11 @@ class ServiceClient:
         request: Optional[SubmitRequest] = None,
         **fields: Any,
     ) -> JobView:
-        """``POST /v1/jobs``: returns the (possibly joined) job.
+        """``POST /v1/jobs``: returns the newly queued job.
 
         Pass a :class:`SubmitRequest`, or its fields as kwargs
         (``seed=``, ``resolutions=``, ``orientations=``, ``machine=``,
-        ``priority=``, ``deadline_s=``).  The returned view's
-        ``job_id`` may belong to an earlier identical submission
-        (coalescing); :attr:`last_submit_joined` tells which.
+        ``priority=``, ``deadline_s=``).
         """
         if request is not None and fields:
             raise ValueError("pass a SubmitRequest or kwargs, not both")

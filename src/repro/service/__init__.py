@@ -1,10 +1,11 @@
-"""Multi-tenant obfuscation job service (ISSUE 9 + ISSUE 10).
+"""Multi-tenant obfuscation job service.
 
 The production face of the reproduction: a long-lived process fronting
-the staged sweep engine with admission control, in-flight request
-coalescing, a concurrent cross-job fleet scheduler and a versioned
-HTTP/JSON API - the shape a counterfeit-resistance evaluation service
-would actually ship in.
+the staged sweep engine with admission control, a concurrent cross-job
+fleet scheduler and a versioned HTTP/JSON API - the shape a
+counterfeit-resistance evaluation service would actually ship in.
+Every accepted request is its own job; the fleet's node-level dedup
+and the shared disk tier are the only places work is shared.
 
 Layers (each importable on its own):
 
@@ -13,8 +14,7 @@ Layers (each importable on its own):
   :class:`JobState` including ``CANCELLED``) and the structured
   refusals (:class:`JobRejected`, :class:`JobValidationError`);
 * :mod:`repro.service.queue` - :class:`JobQueue`: bounded depth,
-  per-tenant *weighted fair* (stride) scheduling, and the coalescing
-  index that joins identical submissions onto one computation;
+  per-tenant quotas and *weighted fair* (stride) scheduling;
 * :mod:`repro.service.schema` - the typed v1 wire shapes
   (:class:`SubmitRequest`, :class:`JobView`, :class:`ErrorEnvelope`)
   shared by the HTTP layer and the :mod:`repro.client` SDK;
@@ -25,7 +25,7 @@ Layers (each importable on its own):
   manifests/traces;
 * :mod:`repro.service.http` - :class:`ServiceServer`: the stdlib
   ``ThreadingHTTPServer`` front end (``repro-obfuscade serve``) with
-  the ``/v1/`` API and deprecation-headered legacy shims.
+  the ``/v1/`` API.
 """
 
 from repro.service.core import ObfuscadeService

@@ -1,18 +1,18 @@
-"""The long-lived obfuscation job service (ISSUE 9 + ISSUE 10).
+"""The long-lived obfuscation job service.
 
 `ObfusCADe` evaluates counterfeit resistance by grid-searching process
 settings against a protected model; the CLI runs one such evaluation
-per invocation, paying worker-pool spawn, cold caches and model
-protection every time.  :class:`ObfuscadeService` amortizes all three
-across many requests from many tenants:
+per invocation, paying worker-pool spawn and cold caches every time.
+:class:`ObfuscadeService` amortizes both across many requests from
+many tenants:
 
-* one :class:`~repro.service.queue.JobQueue` admits, coalesces and
-  fairly orders requests (bounded depth, per-tenant weighted fair
-  scheduling, structured 429s);
+* one :class:`~repro.service.queue.JobQueue` admits and fairly orders
+  requests (bounded depth, per-tenant weighted fair scheduling,
+  structured 429s); every accepted request is its own job;
 * a single dispatcher thread admits up to ``max_concurrent_jobs`` jobs
-  into one :class:`~repro.pipeline.FleetScheduler` (ISSUE 10
-  tentpole): the admitted jobs' execution graphs merge into one
-  fleet-wide node set keyed by ``(stage, content digest)``, so
+  into one :class:`~repro.pipeline.FleetScheduler`: the admitted
+  jobs' execution graphs merge into one fleet-wide node set keyed by
+  ``(stage, content digest)``, so
   overlapping submissions - even from different tenants - execute each
   shared tessellate/resolve node exactly once, with results fanned out
   to every consuming job and per-job accounting kept exact (each job's
@@ -20,7 +20,8 @@ across many requests from many tenants:
   fingerprints are bit-identical to running alone);
 * one warm :class:`~repro.pipeline.WorkerPool` plus one shared
   :class:`~repro.pipeline.DiskStageCache` directory serve every job,
-  so repeat evaluations land on hot per-process caches and stored
+  so repeat evaluations - including identical jobs that were not
+  admitted together - land on hot per-process caches and stored
   artifacts;
 * jobs carry priorities and optional deadlines (fleet scheduling
   order) and can be *cancelled*: a queued job leaves the queue; an
@@ -51,7 +52,6 @@ from repro.pipeline import (
     FleetScheduler,
     ProcessChain,
     WorkerPool,
-    digest_parts,
 )
 from repro.pipeline.resilience import NO_RETRY, RetryPolicy
 from repro.service.jobs import (
@@ -82,9 +82,9 @@ class ObfuscadeService:
         nodes inline in the dispatcher thread (same worker entry, same
         artifacts, still cache-warm).
     max_concurrent_jobs:
-        How many jobs the fleet runs simultaneously.  ``1`` preserves
-        the one-at-a-time dispatch of ISSUE 9; ``> 1`` merges the
-        concurrent jobs' graphs so overlapping work executes once.
+        How many jobs the fleet runs simultaneously.  ``1`` dispatches
+        one job at a time; ``> 1`` merges the concurrent jobs' graphs
+        so overlapping work executes once.
     queue_depth / max_tenant_queued / tenant_weights:
         Admission control and fairness, as for :class:`JobQueue`.
     retry / cell_timeout_s / keep_going:
@@ -138,7 +138,6 @@ class ObfuscadeService:
             metrics=self.metrics,
         )
         self.started_s = time.time()
-        self._models: Dict[int, Any] = {}
         self._jobs: Dict[str, Job] = {}
         #: job_id -> (service job, protected model, start tick) for
         #: jobs currently admitted to the fleet.
@@ -150,62 +149,24 @@ class ObfuscadeService:
         self._gate.set()
         self._thread: Optional[threading.Thread] = None
 
-    # -- model / key derivation ----------------------------------------------
-
-    def _protected(self, seed: int):
-        """The protected model for ``seed``, built once per service."""
-        with self._lock:
-            protected = self._models.get(seed)
-        if protected is None:
-            protected = Obfuscator(seed=seed).protect_tensile_bar()
-            with self._lock:
-                self._models.setdefault(seed, protected)
-                protected = self._models[seed]
-        return protected
-
-    def job_key(self, spec: JobSpec) -> str:
-        """Coalescing key: content address of the job's full input.
-
-        Only result-determining facts participate (model digest,
-        machine, grid) - executor knobs like worker count, priority or
-        deadline change the wall-clock, not the artifacts, so they
-        must not split otherwise-identical jobs.  The grid is
-        order-normalized (cell order changes nothing) and the *model
-        digest*, not the seed, represents the geometry - two seeds
-        that build identical geometry are the same computation and
-        coalesce.
-        """
-        protected = self._protected(spec.seed)
-        return digest_parts(
-            "service-job",
-            model_digest(protected.model),
-            spec.machine,
-            ",".join(sorted(spec.resolutions)),
-            ",".join(sorted(spec.orientations)),
-        )
-
     # -- submission / lookup -------------------------------------------------
 
-    def submit(self, payload: Any, tenant: str = "anon") -> Tuple[Job, bool]:
-        """Validate + admit one request; returns ``(job, joined)``.
+    def submit(self, payload: Any, tenant: str = "anon") -> Job:
+        """Validate + queue one request as a new job and return it.
 
         Raises :class:`~repro.service.jobs.JobValidationError` (bad
         request) or :class:`~repro.service.jobs.JobRejected`
         (backpressure); the HTTP layer maps them to 400/429.
         """
-        spec = JobSpec.from_request(payload)
-        key = self.job_key(spec)
         job = Job(
             job_id=f"job-{next(self._seq):05d}",
-            spec=spec,
+            spec=JobSpec.from_request(payload),
             tenant=tenant,
-            key=key,
         )
-        admitted, joined = self.queue.submit(job)
-        if not joined:
-            with self._lock:
-                self._jobs[admitted.job_id] = admitted
-        return admitted, joined
+        self.queue.submit(job)
+        with self._lock:
+            self._jobs[job.job_id] = job
+        return job
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
@@ -242,7 +203,7 @@ class ObfuscadeService:
 
     def start(self, paused: bool = False) -> None:
         """Start the dispatcher thread (``paused=True`` keeps it idle
-        until :meth:`resume` - used by tests to pile up joins
+        until :meth:`resume` - used by tests to queue jobs
         deterministically)."""
         if self._thread is not None:
             raise RuntimeError("service already started")
@@ -301,11 +262,10 @@ class ObfuscadeService:
         if job.cancel_requested:
             job.mark_cancelled()
             self.metrics.inc("service.jobs_cancelled")
-            self.queue.finish(job)
             return
         started = time.perf_counter()
         try:
-            protected = self._protected(job.spec.seed)
+            protected = Obfuscator(seed=job.spec.seed).protect_tensile_bar()
             chain = ProcessChain(machine=MACHINES[job.spec.machine])
             config = ChainConfig(
                 machine=chain.machine,
@@ -343,7 +303,6 @@ class ObfuscadeService:
                 "message": str(exc),
             })
             self.metrics.inc("service.jobs_failed")
-            self.queue.finish(job)
 
     def _on_fleet_complete(self, fleet_job: FleetJob) -> None:
         """Fleet completion callback: publish one job's terminal state."""
@@ -414,10 +373,6 @@ class ObfuscadeService:
             self.metrics.observe(
                 "service.job_s", time.perf_counter() - started
             )
-            # Terminal state is already visible, so a submission racing
-            # this retire either joins a finished job (result attached)
-            # or starts a fresh, cache-warm run - never hangs.
-            self.queue.finish(job)
 
     def _write_manifest(self, job, fleet_job, protected, report, spans,
                         trace_path):
@@ -446,7 +401,6 @@ class ObfuscadeService:
         doc["service"] = {
             "job_id": job.job_id,
             "tenant": job.tenant,
-            "waiters": job.waiters,
             "priority": job.spec.priority,
             "deadline_s": job.spec.deadline_s,
             "queue": self.queue.snapshot(),

@@ -6,23 +6,23 @@ only, and a job API this small fits ``http.server`` comfortably.  A
 every handler is a thin JSON shim over the service object, which does
 its own locking.
 
-v1 API (ISSUE 10)
------------------
-The versioned surface lives under ``/v1/``; request/response shapes
-are the typed dataclasses of :mod:`repro.service.schema`.  Every
-non-2xx response carries the one
+v1 API
+------
+The API lives under ``/v1/``; any other path is a 404 ``not_found``.
+Request/response shapes are the typed dataclasses of
+:mod:`repro.service.schema`.  Every non-2xx response carries the one
 ``{"error": {"code", "message", "detail"}}`` envelope.
 
 ``POST /v1/jobs``
     Body: :class:`~repro.service.schema.SubmitRequest` fields (all
     optional), e.g. ``{"seed": 7, "resolutions": ["coarse"],
     "orientations": ["x-y"], "machine": "fdm", "priority": 2,
-    "deadline_s": 120}``.  Tenant comes from the ``X-Tenant`` header
-    (default ``anon``).  **202** with the
-    :class:`~repro.service.schema.JobView` plus a top-level
-    ``joined`` flag (true when the request coalesced onto an in-flight
-    identical job); **400** ``invalid_request`` (also for a negative or
-    non-integer ``Content-Length``); **413** ``payload_too_large`` for
+    "deadline_s": 120}``.  Tenant comes from the ``X-Tenant`` header:
+    1-64 characters from ``[A-Za-z0-9_-]``, ``anon`` when missing or
+    empty.  Every accepted request is a new job.  **202** with the
+    :class:`~repro.service.schema.JobView`; **400** ``invalid_request``
+    (also for a malformed ``X-Tenant`` or a negative or non-integer
+    ``Content-Length``); **413** ``payload_too_large`` for
     a body over :data:`MAX_BODY_BYTES`; **429** ``queue_full`` /
     ``tenant_quota`` with the admission numbers in ``detail``.
 ``GET /v1/jobs/{id}``
@@ -39,16 +39,12 @@ non-2xx response carries the one
     ``not_found``, **409** ``not_cancellable`` when already finished.
 ``GET /v1/healthz`` / ``GET /v1/metrics``
     Liveness + queue/fleet snapshot / the full metrics registry.
-
-Legacy routes (``/submit``, ``/status/<id>``, ``/result/<id>``,
-``/healthz``, ``/metrics``) remain as thin shims over the same
-handlers; they answer with a ``Deprecation`` header pointing at the v1
-path and use the same error envelope.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -65,23 +61,20 @@ MAX_WAIT_S = 60.0
 #: under 1 KiB; anything larger is refused before it is read.
 MAX_BODY_BYTES = 64 * 1024
 
+#: Accepted ``X-Tenant`` values.  Tenant names key the queue's
+#: fairness state, metric names and manifests, so they are bounded
+#: in length and alphabet.
+TENANT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
+
 
 class _Handler(BaseHTTPRequestHandler):
     """One request; ``self.server.service`` is the ObfuscadeService."""
-
-    #: Set per-request when the path matched a legacy (unversioned)
-    #: route; answered with a ``Deprecation`` header.
-    _deprecated_for: Optional[str] = None
 
     def _send_json(self, code: int, payload: Any) -> None:
         body = json.dumps(payload).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if self._deprecated_for:
-            self.send_header("Deprecation", "true")
-            self.send_header("Link",
-                             f'<{self._deprecated_for}>; rel="successor-version"')
         self.end_headers()
         self.wfile.write(body)
 
@@ -94,43 +87,21 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routing -------------------------------------------------------------
 
     def _route(self) -> Tuple[Optional[str], Dict[str, str]]:
-        """Map the request path onto a v1 endpoint name.
-
-        Legacy paths map onto the same endpoints with
-        ``_deprecated_for`` set to their v1 successor.
-        """
-        self._deprecated_for = None
+        """Map the request path onto a v1 endpoint name."""
         path = urlparse(self.path).path
         parts = [p for p in path.split("/") if p]
-        if parts and parts[0] == API_VERSION:
-            parts = parts[1:]
-            if parts == ["jobs"]:
-                return "jobs", {}
-            if len(parts) == 2 and parts[0] == "jobs":
-                return "job", {"id": parts[1]}
-            if len(parts) == 3 and parts[0] == "jobs" \
-                    and parts[2] == "result":
-                return "result", {"id": parts[1]}
-            if parts == ["healthz"]:
-                return "healthz", {}
-            if parts == ["metrics"]:
-                return "metrics", {}
+        if not parts or parts[0] != API_VERSION:
             return None, {}
-        # Legacy shims.
-        if parts == ["submit"]:
-            self._deprecated_for = f"/{API_VERSION}/jobs"
+        parts = parts[1:]
+        if parts == ["jobs"]:
             return "jobs", {}
-        if len(parts) == 2 and parts[0] == "status":
-            self._deprecated_for = f"/{API_VERSION}/jobs/{parts[1]}"
+        if len(parts) == 2 and parts[0] == "jobs":
             return "job", {"id": parts[1]}
-        if len(parts) == 2 and parts[0] == "result":
-            self._deprecated_for = f"/{API_VERSION}/jobs/{parts[1]}/result"
+        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
             return "result", {"id": parts[1]}
         if parts == ["healthz"]:
-            self._deprecated_for = f"/{API_VERSION}/healthz"
             return "healthz", {}
         if parts == ["metrics"]:
-            self._deprecated_for = f"/{API_VERSION}/metrics"
             return "metrics", {}
         return None, {}
 
@@ -186,8 +157,16 @@ class _Handler(BaseHTTPRequestHandler):
             ))
             return
         tenant = self.headers.get("X-Tenant") or "anon"
+        if not TENANT_RE.fullmatch(tenant):
+            self._send_error(400, ErrorEnvelope(
+                code="invalid_request",
+                message="X-Tenant must be 1-64 characters from "
+                        "[A-Za-z0-9_-]",
+                detail={"tenant_length": len(tenant)},
+            ))
+            return
         try:
-            job, joined = service.submit(payload, tenant=tenant)
+            job = service.submit(payload, tenant=tenant)
         except JobValidationError as exc:
             self._send_error(400, ErrorEnvelope(
                 code="invalid_request", message=str(exc),
@@ -197,9 +176,7 @@ class _Handler(BaseHTTPRequestHandler):
             # Backpressure is a structured response, never a hang.
             self._send_error(429, ErrorEnvelope.from_rejection(exc))
             return
-        doc = JobView.from_job(job).to_dict()
-        doc["joined"] = joined
-        self._send_json(202, doc)
+        self._send_json(202, JobView.from_job(job).to_dict())
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         endpoint, params = self._route()

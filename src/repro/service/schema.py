@@ -71,7 +71,6 @@ class JobView:
     job_id: str
     state: str
     tenant: str
-    waiters: int
     spec: Dict[str, Any] = field(default_factory=dict)
     created_s: Optional[float] = None
     started_s: Optional[float] = None
@@ -86,7 +85,6 @@ class JobView:
             job_id=job.job_id,
             state=job.state.value,
             tenant=job.tenant,
-            waiters=job.waiters,
             spec=job.spec.to_dict(),
             created_s=job.created_s,
             started_s=job.started_s,
@@ -100,7 +98,6 @@ class JobView:
             "job_id": self.job_id,
             "state": self.state,
             "tenant": self.tenant,
-            "waiters": self.waiters,
             "spec": self.spec,
             "created_s": self.created_s,
             "started_s": self.started_s,
@@ -118,7 +115,6 @@ class JobView:
             job_id=doc.get("job_id", ""),
             state=doc.get("state", ""),
             tenant=doc.get("tenant", ""),
-            waiters=int(doc.get("waiters", 0)),
             spec=doc.get("spec") or {},
             created_s=doc.get("created_s"),
             started_s=doc.get("started_s"),

@@ -1,16 +1,15 @@
 """:class:`repro.client.ServiceClient` against a live v1 server.
 
-The SDK round-trip half of ISSUE 10 satellite #4: every client verb
-(submit / status / wait_result / cancel / healthz / metrics) exercised
-over real HTTP against a real :class:`ObfuscadeService`, plus the
-failure contract - structured 4xx envelopes are raised immediately,
-transport faults are retried then surfaced as ``code="transport"``,
-and legacy unversioned routes still answer (with a ``Deprecation``
-header pointing at their v1 successor).
+Every client verb (submit / status / wait_result / cancel / healthz /
+metrics) exercised over real HTTP against a real
+:class:`ObfuscadeService`, plus the failure contract - structured 4xx
+envelopes are raised immediately, transport faults are retried then
+surfaced as ``code="transport"``, and unversioned paths are 404s.
 """
 
 import json
 import urllib.request
+from urllib.error import HTTPError
 
 import pytest
 
@@ -41,23 +40,24 @@ def live(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def finished(live):
-    """One job submitted (twice - proving coalescing), run to done."""
+    """One job submitted twice (two jobs, one per tenant), run to done;
+    returns alice's client, job id and final view plus bob's final view."""
     service, server = live
     first = ServiceClient(server.url, tenant="alice")
     second = ServiceClient(server.url, tenant="bob")
     view = first.submit(**PAYLOAD)
-    assert first.last_submit_joined is False
-    joined = second.submit(SubmitRequest(**PAYLOAD))
-    assert second.last_submit_joined is True
-    assert joined.job_id == view.job_id
+    twin = second.submit(SubmitRequest(**PAYLOAD))
+    assert not first.last_submit_joined and not second.last_submit_joined
     service.resume()
     final = first.wait_result(view.job_id, timeout_s=600)
-    return first, view.job_id, final
+    return first, view.job_id, final, second.wait_result(
+        twin.job_id, timeout_s=600
+    )
 
 
 class TestRoundTrip:
     def test_submit_returns_typed_view(self, finished):
-        client, job_id, final = finished
+        client, job_id, final, _ = finished
         assert final.state == "done"
         assert final.tenant == "alice"
         assert final.spec["resolutions"] == ["coarse"]
@@ -65,7 +65,7 @@ class TestRoundTrip:
         assert final.result["fleet"]["cross_job_deduped"] >= 0
 
     def test_status_reflects_terminal_state(self, finished):
-        client, job_id, final = finished
+        client, job_id, final, _ = finished
         view = client.status(job_id)
         assert view.state == "done"
         assert view.job_id == job_id
@@ -73,21 +73,23 @@ class TestRoundTrip:
         assert view.result is None
 
     def test_wait_result_is_idempotent_once_done(self, finished):
-        client, job_id, final = finished
+        client, job_id, final, _ = finished
         again = client.wait_result(job_id, timeout_s=5)
         assert again.result["fingerprints"] == final.result["fingerprints"]
 
     def test_healthz_and_metrics(self, finished):
-        client, _, _ = finished
+        client, _, _, _ = finished
         health = client.healthz()
         assert health["status"] == "ok"
         assert "fleet" in health
         metrics = client.metrics()
         assert metrics["counters"].get("service.jobs_done", 0) >= 1
 
-    def test_waiters_recorded_for_joined_submission(self, finished):
-        client, job_id, _ = finished
-        assert client.status(job_id).waiters == 2
+    def test_identical_submission_is_its_own_job(self, finished):
+        _, job_id, final, twin = finished
+        assert twin.job_id != job_id
+        assert twin.state == "done" and twin.tenant == "bob"
+        assert twin.result["fingerprints"] == final.result["fingerprints"]
 
 
 class TestErrorContract:
@@ -109,7 +111,7 @@ class TestErrorContract:
         assert info.value.envelope.code == "invalid_request"
 
     def test_cancel_finished_job_is_409(self, finished):
-        client, job_id, _ = finished
+        client, job_id, _, _ = finished
         with pytest.raises(ServiceClientError) as info:
             client.cancel(job_id)
         assert info.value.status == 409
@@ -143,17 +145,12 @@ class TestErrorContract:
             client.submit(SubmitRequest(seed=7), seed=8)
 
 
-class TestLegacyShims:
-    def test_legacy_route_answers_with_deprecation_header(self, live):
+class TestUnversionedRoutes:
+    def test_healthz_is_404_envelope(self, live):
         _, server = live
-        with urllib.request.urlopen(f"{server.url}/healthz") as resp:
-            assert resp.status == 200
-            assert resp.headers.get("Deprecation") == "true"
-            assert "/v1/healthz" in (resp.headers.get("Link") or "")
-            assert json.load(resp)["status"] == "ok"
-
-    def test_v1_route_has_no_deprecation_header(self, live):
-        _, server = live
-        with urllib.request.urlopen(f"{server.url}/v1/healthz") as resp:
-            assert resp.status == 200
-            assert resp.headers.get("Deprecation") is None
+        with pytest.raises(HTTPError) as info:
+            urllib.request.urlopen(f"{server.url}/healthz")
+        assert info.value.code == 404
+        error = json.load(info.value)["error"]
+        assert error["code"] == "not_found"
+        assert error["detail"] == {"path": "/healthz"}

@@ -1,15 +1,15 @@
-"""Tests for the multi-tenant obfuscation job service (ISSUE 9).
+"""Tests for the multi-tenant obfuscation job service.
 
 Three tiers:
 
 * pure-unit: :class:`JobSpec` validation, :class:`JobQueue` admission /
-  coalescing / fairness, :class:`WorkerPool` lifecycle - no sweeps run;
+  fairness, :class:`WorkerPool` lifecycle - no sweeps run;
 * admission-over-HTTP against a service whose dispatcher never starts
   (structured 400/429, never a hang);
-* one real end-to-end flow (module-scoped): three submissions coalesce
-  onto one job while a distinct job rides alongside, the dispatcher
-  executes both, and the results/manifests/metrics are checked against
-  a direct in-process sweep of the same grid.
+* real end-to-end runs: one module-scoped flow where three identical
+  submissions become three jobs next to a distinct one, and a
+  two-tenant cancel; results/manifests/metrics are checked against a
+  direct in-process sweep of the same grid.
 """
 
 import http.client
@@ -83,30 +83,16 @@ class TestJobSpec:
             JobSpec.from_request(payload)
 
 
-def _job(jid, tenant="t", key=None):
-    return Job(jid, JobSpec(), tenant, key or f"key-{jid}")
+def _job(jid, tenant="t"):
+    return Job(jid, JobSpec(), tenant)
 
 
 class TestJobQueue:
-    def test_coalesce_joins_queued_job(self):
+    def test_submit_queues_and_returns_the_job(self):
         q = JobQueue(max_depth=4)
-        first, joined = q.submit(_job("j1", key="K"))
-        assert not joined and first.waiters == 1
-        same, joined = q.submit(_job("j2", key="K"))
-        assert joined and same is first and first.waiters == 2
-        assert q.joined_waiters == 1 and q.coalesced_jobs == 1
-        assert q.depth() == 1  # a join adds no queue entry
-
-    def test_running_job_still_joinable_until_finish(self):
-        q = JobQueue(max_depth=4)
-        first, _ = q.submit(_job("j1", key="K"))
-        assert q.take(timeout=1) is first
-        _, joined = q.submit(_job("j2", key="K"))
-        assert joined
-        first.mark_done({})
-        q.finish(first)
-        fresh, joined = q.submit(_job("j3", key="K"))
-        assert not joined and fresh is not first  # finished: re-execute
+        job = _job("j1")
+        assert q.submit(job) is job
+        assert job.state is JobState.QUEUED and q.depth() == 1
 
     def test_queue_full_is_structured(self):
         q = JobQueue(max_depth=2)
@@ -119,11 +105,20 @@ class TestJobQueue:
         assert doc["queue_depth"] == 2 and doc["max_depth"] == 2
         assert q.rejected == 1
 
-    def test_joins_never_rejected_at_capacity(self):
-        q = JobQueue(max_depth=1)
-        q.submit(_job("j1", key="K"))
-        _, joined = q.submit(_job("j2", key="K"))  # full, but no new work
-        assert joined
+    def test_identical_jobs_are_rejected_at_capacity(self):
+        """Identical specs are separate jobs: they fill the queue and
+        the tenant quota like any other and get the structured 429."""
+        q = JobQueue(max_depth=2)
+        q.submit(_job("j1", tenant="alice"))
+        q.submit(_job("j2", tenant="bob"))
+        with pytest.raises(JobRejected) as exc:
+            q.submit(_job("j3", tenant="carol"))
+        assert exc.value.code == "queue_full" and q.depth() == 2
+        quota = JobQueue(max_depth=8, max_tenant_queued=1)
+        quota.submit(_job("a1", tenant="alice"))
+        with pytest.raises(JobRejected) as exc:
+            quota.submit(_job("a2", tenant="alice"))
+        assert exc.value.code == "tenant_quota" and quota.depth() == 1
 
     def test_tenant_quota(self):
         q = JobQueue(max_depth=8, max_tenant_queued=1)
@@ -201,15 +196,18 @@ def make_admission(tmp_path):
         service.stop()
 
 
-def _raw_post(url, content_length, body=b""):
-    """POST /v1/jobs with a hand-set Content-Length header over a raw
-    connection; a server that blocks on the body trips the timeout."""
+def _raw_post(url, content_length, body=b"", tenant=None):
+    """POST /v1/jobs with hand-set Content-Length (and X-Tenant) headers
+    over a raw connection; a server that blocks on the body trips the
+    timeout."""
     parts = urlparse(url)
     conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
     try:
         conn.putrequest("POST", "/v1/jobs")
         conn.putheader("Content-Type", "application/json")
         conn.putheader("Content-Length", content_length)
+        if tenant is not None:
+            conn.putheader("X-Tenant", tenant)
         conn.endheaders()
         if body:
             conn.send(body)
@@ -225,51 +223,50 @@ def admission(make_admission):
 
 
 class TestAdmissionOverHttp:
-    def test_fill_then_429_then_join_still_admitted(self, admission):
+    def test_fill_then_429_for_distinct_and_identical(self, admission):
         base = {"seed": 7, "resolutions": ["coarse"]}
         code, first = _http(
-            "POST", admission.url + "/submit",
+            "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-y"]}, tenant="alice",
         )
-        assert code == 202 and not first["joined"]
+        assert code == 202 and "joined" not in first
         code, _ = _http(
-            "POST", admission.url + "/submit",
+            "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-z"]}, tenant="bob",
         )
         assert code == 202
-        # Depth 2 reached: a third distinct job gets a structured 429.
+        # Depth 2 reached: a third distinct job gets a structured 429...
         code, doc = _http(
-            "POST", admission.url + "/submit",
+            "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-y", "x-z"]}, tenant="carol",
         )
         assert code == 429
         assert doc["error"]["code"] == "queue_full"
         detail = doc["error"]["detail"]
         assert detail["queue_depth"] == 2 and detail["max_depth"] == 2
-        # But an identical resubmission joins: no new work, never a 429.
+        # ...and so does an identical resubmission: it is a new job.
         code, doc = _http(
-            "POST", admission.url + "/submit",
+            "POST", admission.url + "/v1/jobs",
             {**base, "orientations": ["x-y"]}, tenant="carol",
         )
-        assert code == 202 and doc["joined"]
-        assert doc["job_id"] == first["job_id"] and doc["waiters"] == 2
+        assert code == 429 and doc["error"]["code"] == "queue_full"
 
     def test_tenant_quota_429(self, make_admission):
         quota = make_admission(queue_depth=8, max_tenant_queued=1)
         base = {"seed": 7, "resolutions": ["coarse"]}
         code, _ = _http(
-            "POST", quota.url + "/submit",
+            "POST", quota.url + "/v1/jobs",
             {**base, "orientations": ["x-y"]}, tenant="alice",
         )
         assert code == 202
         code, doc = _http(
-            "POST", quota.url + "/submit",
+            "POST", quota.url + "/v1/jobs",
             {**base, "orientations": ["x-z"]}, tenant="alice",
         )
         assert code == 429 and doc["error"]["code"] == "tenant_quota"
         # Other tenants are unaffected by alice's quota.
         code, _ = _http(
-            "POST", quota.url + "/submit",
+            "POST", quota.url + "/v1/jobs",
             {**base, "orientations": ["x-z"]}, tenant="bob",
         )
         assert code == 202
@@ -280,7 +277,7 @@ class TestAdmissionOverHttp:
         {"unexpected": True},
     ])
     def test_validation_maps_to_400(self, admission, payload):
-        code, doc = _http("POST", admission.url + "/submit", payload)
+        code, doc = _http("POST", admission.url + "/v1/jobs", payload)
         assert code == 400 and doc["error"]["code"] == "invalid_request"
 
     @pytest.mark.parametrize("length", ["-5", "abc"])
@@ -299,8 +296,38 @@ class TestAdmissionOverHttp:
         }
         assert admission.service.queue.snapshot()["queued"] == 0
 
+    @pytest.mark.parametrize("tenant", [
+        "a.b",  # '.' would nest inside metric names
+        "x" * 65,
+        "alice bob",
+        "tenant/../x",
+        "\u00e9t\u00e9",
+    ])
+    def test_malformed_tenant_is_400_before_queueing(self, admission,
+                                                     tenant):
+        code, doc = _raw_post(admission.url, "2", b"{}", tenant=tenant)
+        assert code == 400 and doc["error"]["code"] == "invalid_request"
+        assert "X-Tenant" in doc["error"]["message"]
+        snap = admission.service.queue.snapshot()
+        assert snap["queued"] == 0 and snap["submitted"] == 0
+        assert snap["tenants"] == {} and snap["served"] == {}
+
+    def test_tenant_names_in_use_are_accepted(self, make_admission):
+        """Every tenant name the tests, scripts and benchmark send is
+        accepted; a missing or empty header means ``anon``."""
+        names = ["anon", "alice", "bob", "carol", "dave", "slow", "doomed",
+                 "straggler", "waiter", "tenant-0", "tenant-7",
+                 "distinct-1", "gold", "silver", "bronze", "t", "A_b-9",
+                 "x" * 64]
+        cases = [(name, name) for name in names] + [(None, "anon"),
+                                                    ("", "anon")]
+        service = make_admission(queue_depth=len(cases))
+        for header, tenant in cases:
+            code, doc = _raw_post(service.url, "2", b"{}", tenant=header)
+            assert code == 202 and doc["tenant"] == tenant
+
     def test_unknown_routes_404(self, admission):
-        assert _http("GET", admission.url + "/status/job-99999")[0] == 404
+        assert _http("GET", admission.url + "/v1/jobs/job-99999")[0] == 404
         assert _http("GET", admission.url + "/nope")[0] == 404
         assert _http("POST", admission.url + "/nope", {})[0] == 404
 
@@ -308,40 +335,67 @@ class TestAdmissionOverHttp:
         admission.service.submit(
             {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-y"]}
         )
-        code, doc = _http("GET", admission.url + "/healthz")
+        code, doc = _http("GET", admission.url + "/v1/healthz")
         assert code == 200 and doc["status"] == "ok"
         assert doc["dispatcher"] == "stopped"
         assert doc["queue"]["queued"] == 1
+
+
 
 
 GRID = {"seed": 7, "resolutions": ["coarse"], "orientations": ["x-y"]}
 
 
 @pytest.fixture(scope="module")
+def direct_fingerprints(tmp_path_factory):
+    """GRID run by a serial in-process simulator on a cold cache: the
+    fingerprints every service job of GRID must reproduce bit for bit."""
+    from repro.obfuscade.attack import CounterfeiterSimulator
+    from repro.obfuscade.obfuscator import Obfuscator
+    from repro.pipeline import ProcessChain
+    from repro.service.jobs import MACHINES, ORIENTATIONS, RESOLUTIONS
+
+    sim = CounterfeiterSimulator(
+        resolutions=[RESOLUTIONS["coarse"]],
+        orientations=[ORIENTATIONS["x-y"]],
+        chain=ProcessChain(machine=MACHINES["fdm"]),
+        cache_dir=str(tmp_path_factory.mktemp("direct-cache")),
+    )
+    result = sim.attack(Obfuscator(seed=7).protect_tensile_bar())
+    return {
+        f"{c.resolution}/{c.orientation}": c.fingerprint
+        for c in result.report.cells
+    }
+
+
+@pytest.fixture(scope="module")
 def flow(tmp_path_factory):
-    """The end-to-end coalescing flow; every test below reads from it."""
+    """The end-to-end flow; every test below reads from it."""
     root = tmp_path_factory.mktemp("svc-flow")
     service = ObfuscadeService(cache_dir=root / "cache", queue_depth=8)
     server = ServiceServer(service, port=0)
     server.start()
-    service.start(paused=True)  # pile the joins up deterministically
+    service.start(paused=True)  # queue every job before any runs
 
-    shared, joined0 = service.submit(dict(GRID), tenant="alice")
-    _, joined1 = service.submit(dict(GRID), tenant="bob")
+    shared = service.submit(dict(GRID), tenant="alice")
+    twin = service.submit(dict(GRID), tenant="bob")
     code, http_doc = _http(
-        "POST", server.url + "/submit", GRID, tenant="carol"
+        "POST", server.url + "/v1/jobs", GRID, tenant="carol"
     )
-    distinct, joined2 = service.submit(
+    distinct = service.submit(
         {**GRID, "orientations": ["x-z"]}, tenant="alice"
     )
     service.resume()
-    assert shared.wait(timeout=600) and distinct.wait(timeout=600)
+    over_http = service.get(http_doc.get("job_id"))
+    for job in (shared, twin, over_http, distinct):
+        assert job is not None and job.wait(timeout=600)
     yield SimpleNamespace(
         service=service,
         url=server.url,
         shared=shared,
+        twins=(twin, over_http),
         distinct=distinct,
-        joined=(joined0, joined1, code, http_doc, joined2),
+        http_code=code,
         root=root,
     )
     server.stop()
@@ -349,16 +403,12 @@ def flow(tmp_path_factory):
 
 
 class TestEndToEnd:
-    def test_identical_submissions_coalesce_onto_one_job(self, flow):
-        joined0, joined1, code, http_doc, joined2 = flow.joined
-        assert not joined0 and joined1
-        assert code == 202 and http_doc["joined"]
-        assert http_doc["job_id"] == flow.shared.job_id
-        assert not joined2  # different orientation: a different job
-        assert flow.shared.waiters == 3
-        assert flow.service.queue.coalesced_jobs == 1
-        assert flow.service.queue.joined_waiters == 2
-        assert flow.service.queue.submitted == 2  # two real computations
+    def test_identical_submissions_are_separate_jobs(self, flow):
+        assert flow.http_code == 202
+        identical = (flow.shared,) + flow.twins
+        assert len({j.job_id for j in identical}) == 3
+        assert [j.tenant for j in identical] == ["alice", "bob", "carol"]
+        assert flow.service.queue.submitted == 4
 
     def test_jobs_complete_with_distinct_results(self, flow):
         assert flow.shared.state is JobState.DONE
@@ -368,38 +418,24 @@ class TestEndToEnd:
         assert len(fp_shared) == 1 and len(fp_distinct) == 1
         assert set(fp_shared) != set(fp_distinct)
 
-    def test_fingerprints_match_direct_sweep(self, flow, tmp_path):
+    def test_fingerprints_match_direct_sweep(self, flow, direct_fingerprints):
         """The service is an execution plan, not a different pipeline:
-        a direct in-process simulator run of the same grid on a cold
-        cache produces bit-identical fingerprints."""
-        from repro.obfuscade.attack import CounterfeiterSimulator
-        from repro.obfuscade.obfuscator import Obfuscator
-        from repro.pipeline import ProcessChain
-        from repro.service.jobs import MACHINES, ORIENTATIONS, RESOLUTIONS
-
-        sim = CounterfeiterSimulator(
-            resolutions=[RESOLUTIONS["coarse"]],
-            orientations=[ORIENTATIONS["x-y"]],
-            chain=ProcessChain(machine=MACHINES["fdm"]),
-            cache_dir=str(tmp_path / "direct-cache"),
-        )
-        result = sim.attack(Obfuscator(seed=7).protect_tensile_bar())
-        direct = {
-            f"{c.resolution}/{c.orientation}": c.fingerprint
-            for c in result.report.cells
-        }
-        assert direct == flow.shared.result["fingerprints"]
+        every identical job - the first cold, the others warm from the
+        shared disk tier - matches a direct simulator run bit for bit."""
+        for job in (flow.shared,) + flow.twins:
+            assert job.state is JobState.DONE
+            assert job.result["fingerprints"] == direct_fingerprints
 
     def test_manifest_records_service_provenance(self, flow):
         from repro.observability import manifest as manifest_mod
 
-        doc = manifest_mod.read_manifest(flow.shared.result["manifest"])
-        assert manifest_mod.validate_manifest(doc) == []
-        assert doc["config"]["command"] == "serve"
-        service_block = doc["service"]
-        assert service_block["job_id"] == flow.shared.job_id
-        assert service_block["tenant"] == "alice"
-        assert service_block["waiters"] == 3
+        for job in (flow.shared,) + flow.twins:
+            doc = manifest_mod.read_manifest(job.result["manifest"])
+            assert manifest_mod.validate_manifest(doc) == []
+            assert doc["config"]["command"] == "serve"
+            service_block = doc["service"]
+            assert service_block["job_id"] == job.job_id
+            assert service_block["tenant"] == job.tenant
 
     def test_artifact_checker_passes_on_service_output(self, flow):
         sys.path.insert(0, str(REPO / "scripts"))
@@ -416,31 +452,65 @@ class TestEndToEnd:
 
     def test_status_and_result_endpoints(self, flow):
         code, doc = _http(
-            "GET", flow.url + f"/status/{flow.shared.job_id}"
+            "GET", flow.url + f"/v1/jobs/{flow.shared.job_id}"
         )
         assert code == 200 and doc["state"] == "done"
         code, doc = _http(
-            "GET", flow.url + f"/result/{flow.shared.job_id}?wait=5"
+            "GET", flow.url + f"/v1/jobs/{flow.shared.job_id}/result?wait=5"
         )
         assert code == 200
         assert doc["result"]["fingerprints"]
         assert doc["result"]["cells_failed"] == 0
 
     def test_metrics_expose_service_counters(self, flow):
-        code, doc = _http("GET", flow.url + "/metrics")
+        code, doc = _http("GET", flow.url + "/v1/metrics")
         assert code == 200
         counters = doc["counters"]
-        assert counters["service.jobs_done"] >= 2
-        assert counters["service.coalesced_jobs"] == 1
-        assert counters["service.joined_waiters"] == 2
-        assert doc["queue"]["completed"] >= 2
+        assert counters["service.jobs_submitted"] >= 4
+        assert counters["service.jobs_done"] >= 4
+        assert doc["queue"]["submitted"] >= 4
 
     def test_resubmit_after_completion_reexecutes_warm(self, flow):
-        """A finished job is not joinable (its result slot may age
-        out); an identical late submission runs fresh on the warm cache
+        """An identical late submission runs fresh on the warm cache
         and reproduces the same fingerprints."""
-        job, joined = flow.service.submit(dict(GRID), tenant="dave")
-        assert not joined and job is not flow.shared
+        job = flow.service.submit(dict(GRID), tenant="dave")
+        assert job is not flow.shared
         assert job.wait(timeout=600)
         assert job.state is JobState.DONE
         assert job.result["fingerprints"] == flow.shared.result["fingerprints"]
+
+
+def test_cancel_by_one_tenant_leaves_identical_job_of_another(
+        tmp_path, direct_fingerprints):
+    """Alice and bob submit the same grid; bob DELETEs its own job.
+    Bob's job is cancelled and stays bob's; alice's job still runs to a
+    result bit-identical to a serial run."""
+    service = ObfuscadeService(cache_dir=tmp_path / "cache", queue_depth=4)
+    server = ServiceServer(service, port=0)
+    server.start()
+    service.start(paused=True)
+    try:
+        code, alice = _http("POST", server.url + "/v1/jobs", GRID,
+                            tenant="alice")
+        assert code == 202
+        code, bob = _http("POST", server.url + "/v1/jobs", GRID,
+                          tenant="bob")
+        assert code == 202
+        code, view = _http("DELETE", server.url + f"/v1/jobs/{bob['job_id']}",
+                           tenant="bob")
+        assert code == 200 and view["state"] == "cancelled"
+        code, view = _http("GET", server.url + f"/v1/jobs/{bob['job_id']}",
+                           tenant="bob")
+        assert code == 200 and view["tenant"] == "bob"
+        service.resume()
+        assert service.get(alice["job_id"]).wait(timeout=600)
+        code, view = _http(
+            "GET", server.url + f"/v1/jobs/{alice['job_id']}/result",
+            tenant="alice",
+        )
+        assert code == 200 and view["state"] == "done"
+        assert view["tenant"] == "alice"
+        assert view["result"]["fingerprints"] == direct_fingerprints
+    finally:
+        server.stop()
+        service.stop()
