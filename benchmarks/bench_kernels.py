@@ -7,8 +7,8 @@ bar, coarse/fine/custom x x-y/x-z, fdm), then for every kernel/oracle
 pair:
 
 * checks equivalence on every captured input (exact: ``array_equal``
-  on index maps and voxel stacks, equal G-code lines and bitwise move
-  table columns, equal contour and open-path points);
+  on index maps, span rasters and voxel stacks, equal G-code lines and
+  bitwise move table columns, equal contour and open-path points);
 * times both over ``ROUNDS`` interleaved rounds (each round runs the
   pair on all captured inputs, alternating which goes first) and
   records the median, quartiles and spread of the per-round totals,
@@ -37,7 +37,7 @@ from repro.pipeline import ProcessChain
 from repro.pipeline import chain as pipeline_chain
 from repro.printer import deposition
 from repro.printer.orientation import PrintOrientation
-from repro.slicer import gcode, slicer
+from repro.slicer import gcode, raster, slicer
 
 SMOKE = env_flag("OBFUSCADE_BENCH_SMOKE", default=False)
 ROUNDS = 3 if SMOKE else 7
@@ -68,7 +68,10 @@ def _recording(module, name, sink):
 
 def capture_inputs() -> dict:
     """Every kernel call's arguments from one cold default-grid sweep."""
-    calls = {name: [] for name in ("dedup", "closing", "fill", "chain", "gcode")}
+    calls = {
+        name: []
+        for name in ("dedup", "closing", "fill", "chain", "gcode", "spans")
+    }
     protected = Obfuscator(seed=7).protect_tensile_bar()
     sim = CounterfeiterSimulator(
         resolutions=RESOLUTIONS, orientations=ORIENTATIONS, chain=ProcessChain()
@@ -80,6 +83,7 @@ def capture_inputs() -> dict:
             (deposition, "_fill_holes_stack", "fill"),
             (slicer, "chain_segments", "chain"),
             (pipeline_chain, "generate_gcode", "gcode"),
+            (raster, "fill_spans", "spans"),
         ):
             stack.enter_context(_recording(module, name, calls[key]))
         result = sim.attack(protected)
@@ -136,6 +140,7 @@ def kernel_pairs(calls: dict) -> dict:
     """name -> (kernel, oracle, equal, argument tuples, input summary)."""
     dedup_shapes = sorted({args[0].shape for args in calls["dedup"]})
     n_segments = sum(len(args[0]) for args in calls["chain"])
+    n_cells = sum(args[4] * args[6] for args in calls["spans"])
     n_moves = sum(
         len(path.points) + path.closed
         for (layers,) in calls["gcode"] for layer in layers for path in layer.paths
@@ -155,6 +160,11 @@ def kernel_pairs(calls: dict) -> dict:
             slicer.chain_segments, slicer._chain_segments_loop,
             _same_chains, calls["chain"],
             f"{len(calls['chain'])} layers, {n_segments} segments",
+        ),
+        "span_fill": (
+            raster.fill_spans, raster._fill_spans_add_at,
+            _same_arrays, calls["spans"],
+            f"{len(calls['spans'])} fills, {n_cells} cells",
         ),
         "bead_closing": (
             deposition._cross_closing, _closing_oracle,

@@ -86,12 +86,18 @@ def _scheduler_sweep(protected):
     return time.perf_counter() - start, report
 
 
-def _parallel_sweep(protected, cache_dir):
+def reassess_print(outcome):
+    """``assess_print`` under another identity: its verdicts are not in
+    the cache yet, so a warm sweep must read the grids back."""
+    return assess_print(outcome)
+
+
+def _parallel_sweep(protected, cache_dir, assess=assess_print):
     """One jobs=2 sweep over a shared disk cache (handle-passing)."""
     sweep = ParallelSweep(jobs=2, cache_dir=cache_dir)
     start = time.perf_counter()
     report = sweep.run(
-        protected.model, RESOLUTIONS, ORIENTATIONS, assess=assess_print
+        protected.model, RESOLUTIONS, ORIENTATIONS, assess=assess
     )
     return time.perf_counter() - start, report
 
@@ -131,24 +137,34 @@ def run():
 
     # The zero-copy data plane, measured once: a cold jobs=2 sweep
     # populates a shared disk cache (workers receive a model *handle*,
-    # not the model), then a warm repeat answers from mmap-backed
-    # segment reads.  Fingerprints must match the serial scheduler's.
+    # not the model), then a warm repeat answers every node with one
+    # verified lookup and every cell with its persisted verdict, and a
+    # re-assessing repeat (another assess callable, so no verdict is
+    # cached) reads the grids back through mmap-backed segments.
+    # Fingerprints must match the serial scheduler's.
     with tempfile.TemporaryDirectory(prefix="bench-data-plane-") as tmp:
         gc.collect()
         pcold_s, pcold = _parallel_sweep(protected, tmp)
         gc.collect()
         pwarm_s, pwarm = _parallel_sweep(protected, tmp)
+        gc.collect()
+        preassess_s, preassess = _parallel_sweep(
+            protected, tmp, assess=reassess_print
+        )
     assert (
         [c.fingerprint for c in pcold.cells]
         == [c.fingerprint for c in pwarm.cells]
+        == [c.fingerprint for c in preassess.cells]
         == [c.fingerprint for c in sched.cells]
     )
 
     return {
         "parallel_cold_s": pcold_s,
         "parallel_warm_s": pwarm_s,
+        "parallel_reassess_s": preassess_s,
         "parallel_cold_report": pcold,
         "parallel_warm_report": pwarm,
+        "parallel_reassess_report": preassess,
         "cold_s": min(cold_times),
         "warm_s": min(warm_times),
         "hot_s": min(hot_times),
@@ -186,6 +202,7 @@ def test_pipeline_cache_speedup(benchmark, report):
         assert validate_manifest(doc) == [], mode
     sched = r["sched_report"]
     pcold, pwarm = r["parallel_cold_report"], r["parallel_warm_report"]
+    preassess = r["parallel_reassess_report"]
     lines = [
         f"grid: {len(RESOLUTIONS)} resolutions x {len(ORIENTATIONS)} orientations"
         f" (best of {r['rounds']} rounds{', smoke' if SMOKE else ''})",
@@ -194,13 +211,14 @@ def test_pipeline_cache_speedup(benchmark, report):
         f"hot  (repeat search): {r['hot_s']:8.2f} s   speedup {hot_speedup:5.2f}x",
         f"graph scheduler     : {r['sched_s']:8.2f} s   (cold, stage-granular dedup)",
         f"jobs=2, cold disk   : {r['parallel_cold_s']:8.2f} s   (handle-passing workers)",
-        f"jobs=2, warm disk   : {r['parallel_warm_s']:8.2f} s   (mmap segment reads)",
+        f"jobs=2, warm disk   : {r['parallel_warm_s']:8.2f} s   (verified hits, persisted verdicts)",
+        f"jobs=2, re-assess   : {r['parallel_reassess_s']:8.2f} s   (mmap segment reads)",
         "",
         "warm jobs=2 transport:",
         *(pwarm.transport.render() if pwarm.transport else []),
-        f"zero-copy disk reads: {pwarm.stats.zero_copy_hits} "
-        f"({pwarm.stats.mmap_bytes} B mmapped, "
-        f"{pwarm.stats.pickle_bytes} B unpickled)",
+        f"re-assess zero-copy disk reads: {preassess.stats.zero_copy_hits} "
+        f"({preassess.stats.mmap_bytes} B mmapped, "
+        f"{preassess.stats.pickle_bytes} B unpickled)",
         "",
         "warm search per-stage counters:",
         *r["warm_stats"].render(),
@@ -232,13 +250,16 @@ def test_pipeline_cache_speedup(benchmark, report):
             "scheduler_dedupe_s": r["sched_s"],
             "scheduler_dedupe": sched.scheduler.to_dict(),
             # Zero-copy data plane: jobs=2 over a shared disk cache,
-            # cold (populate) then warm (all-hits), with the worker-pipe
-            # byte ledger and the mmap/pickle read split of each leg.
+            # cold (populate), warm (all-hits) and re-assess (all hits,
+            # verdicts recomputed), with the worker-pipe byte ledger
+            # and the mmap/pickle read split of each leg.
             "transport": {
                 "cold_s": r["parallel_cold_s"],
                 "warm_s": r["parallel_warm_s"],
+                "reassess_s": r["parallel_reassess_s"],
                 "cold": pcold.transport.to_dict(),
                 "warm": pwarm.transport.to_dict(),
+                "reassess": preassess.transport.to_dict(),
                 "cold_data_plane": {
                     "zero_copy_hits": pcold.stats.zero_copy_hits,
                     "mmap_bytes": pcold.stats.mmap_bytes,
@@ -248,6 +269,11 @@ def test_pipeline_cache_speedup(benchmark, report):
                     "zero_copy_hits": pwarm.stats.zero_copy_hits,
                     "mmap_bytes": pwarm.stats.mmap_bytes,
                     "pickle_bytes": pwarm.stats.pickle_bytes,
+                },
+                "reassess_data_plane": {
+                    "zero_copy_hits": preassess.stats.zero_copy_hits,
+                    "mmap_bytes": preassess.stats.mmap_bytes,
+                    "pickle_bytes": preassess.stats.pickle_bytes,
                 },
             },
         },
@@ -272,14 +298,21 @@ def test_pipeline_cache_speedup(benchmark, report):
         assert sched_stages[stage].executed == len(RESOLUTIONS)
     # Handle-passing: every worker task carried a model digest, never
     # the model, and no task ever shipped a voxel grid over the pipe.
-    for leg in (pcold, pwarm):
+    for leg in (pcold, pwarm, preassess):
         t = leg.transport
         assert t is not None and t.tasks > 0
         assert t.inline_tasks == 0 and t.handle_tasks == t.tasks
         assert t.max_task_bytes <= 65536, t.max_task_bytes
-    # The warm leg read its grids through mmap, not unpickling.
-    assert pwarm.stats.zero_copy_hits > 0
-    assert pwarm.stats.mmap_bytes > pwarm.stats.pickle_bytes
+    # The fully warm leg verified every node and read every verdict
+    # without reading a single grid ...
+    assert pwarm.stats.total_misses == 0
+    assert pwarm.stats.zero_copy_hits == 0
+    assert pwarm.stats.mmap_bytes == 0
+    # ... while the re-assessing leg read its grids through mmap, not
+    # unpickling.
+    assert preassess.stats.total_misses == 0
+    assert preassess.stats.zero_copy_hits > 0
+    assert preassess.stats.mmap_bytes > preassess.stats.pickle_bytes
     # Warm-sweep overhead budget (smoke-safe): a fully-warm repeat is
     # pure cache bookkeeping and must stay far below a cold search.
     assert r["hot_s"] <= 0.5 * r["cold_s"], (r["hot_s"], r["cold_s"])

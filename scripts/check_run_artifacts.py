@@ -22,7 +22,10 @@ unless
   manifest's ``transport`` block satisfies the comparison - e.g.
   ``handle_tasks>=1`` proves the workers ran handle-passing, and
   ``max_task_bytes<=65536`` gates the zero-copy data plane's core
-  claim that no voxel grid ever crosses the worker pipe.
+  claim that no voxel grid ever crosses the worker pipe,
+- with ``--expect-misses N``, the manifest's stage counters sum to
+  exactly ``N`` cache misses (``0`` for a fully warm rerun, whose
+  every node must be a verified hit).
 
 Stdlib + repro only; run as::
 
@@ -31,7 +34,8 @@ Stdlib + repro only; run as::
         --baseline-manifest serial-manifest.json \
         --expect-scheduled tessellate=2 --expect-scheduled resolve=2 \
         --expect-transport handle_tasks>=1 \
-        --expect-transport max_task_bytes<=65536
+        --expect-transport max_task_bytes<=65536 \
+        --expect-misses 0
 """
 
 from __future__ import annotations
@@ -129,6 +133,7 @@ def check(
     baseline_manifest: str = None,
     expect_scheduled: list = (),
     expect_transport: list = (),
+    expect_misses: int = None,
 ) -> list:
     problems = []
 
@@ -205,6 +210,16 @@ def check(
         problems.extend(check_scheduled(doc, expect_scheduled))
     if expect_transport:
         problems.extend(check_transport(doc, expect_transport))
+    if expect_misses is not None:
+        misses = sum(
+            row.get("misses", 0) for name, row in stages.items()
+            if name != "_cache"
+        )
+        if misses != expect_misses:
+            problems.append(
+                f"manifest records {misses} cache misses, expected "
+                f"{expect_misses}"
+            )
     return problems
 
 
@@ -253,12 +268,18 @@ def main(argv=None) -> int:
         help="assert a transport-block counter satisfies the comparison, "
         "e.g. handle_tasks>=1 or max_task_bytes<=65536 (repeatable)",
     )
+    parser.add_argument(
+        "--expect-misses", type=int, default=None, metavar="N",
+        help="assert the manifest's stage counters sum to exactly N "
+        "cache misses (0 for a fully warm rerun)",
+    )
     args = parser.parse_args(argv)
     problems = check(
         args.trace, args.manifest, args.jobs,
         baseline_manifest=args.baseline_manifest,
         expect_scheduled=args.expect_scheduled,
         expect_transport=args.expect_transport,
+        expect_misses=args.expect_misses,
     )
     if problems:
         for problem in problems:

@@ -354,6 +354,43 @@ class StageCache:
             return self._decode(key, stored, unpack), True
         return None, False
 
+    def _lookup(
+        self,
+        stage_name: str,
+        key: str,
+        unpack: Optional[Callable[[Any], Any]],
+        decode: bool,
+    ) -> Tuple[Any, Optional[str]]:
+        """Serve ``key`` from a cache tier: ``(artifact, tier)``, with
+        ``tier`` ``None`` on a miss.  ``decode=False`` only establishes
+        that the entry is there and returns ``None`` for the artifact."""
+        if key not in self._entries:
+            return None, None
+        self._entries.move_to_end(key)
+        if not decode:
+            return None, "memory"
+        return self._decode(key, self._entries[key], unpack), "memory"
+
+    def _keep(
+        self,
+        stage_name: str,
+        key: str,
+        value: Any,
+        pack: Optional[Callable[[Any], Any]],
+    ) -> Any:
+        """Hold a freshly computed artifact; returns its stored form."""
+        stored = pack(value) if pack is not None else value
+        self._remember(key, stored)
+        if pack is not None:
+            self._remember_decoded(key, value)
+        return stored
+
+    def _remember(self, key: str, stored: Any) -> None:
+        self._entries[key] = stored
+        if self.max_entries is not None:
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+
     def get_or_run(
         self,
         stage_name: str,
@@ -361,6 +398,7 @@ class StageCache:
         fn: Callable[[], Any],
         pack: Optional[Callable[[Any], Any]] = None,
         unpack: Optional[Callable[[Any], Any]] = None,
+        prepare: Optional[Callable[[], None]] = None,
     ) -> Tuple[Any, bool]:
         """Return ``(artifact, was_hit)`` for one stage execution.
 
@@ -371,18 +409,29 @@ class StageCache:
         ``pack``/``unpack`` (see :class:`~repro.pipeline.stage.Stage`)
         encode the artifact for storage and restore it on hits; the
         freshly computed value is always returned as-is.
+
+        ``prepare`` makes the execution *hit-first*, for callers that
+        need the artifact only when they must compute it (a scheduled
+        graph node): a hit returns ``(None, True)`` without decoding
+        anything, and on a miss ``prepare()`` runs first - outside the
+        stage timer, so ``run_s`` stays pure compute - to bring in what
+        ``fn`` needs.
         """
         stats = self.stats.stage(stage_name)
         with obs.span("cache.get", stage=stage_name, key=key[:12]):
-            if self.enabled and key in self._entries:
-                self._entries.move_to_end(key)
-                stats.hits += 1
-                if stats.misses:
-                    stats.saved_s += stats.run_s / stats.misses
-                obs.annotate(hit=True, tier="memory")
-                stored = self._entries[key]
-                return self._decode(key, stored, unpack), True
+            if self.enabled:
+                value, tier = self._lookup(
+                    stage_name, key, unpack, decode=prepare is None
+                )
+                if tier is not None:
+                    stats.hits += 1
+                    if stats.misses:
+                        stats.saved_s += stats.run_s / stats.misses
+                    obs.annotate(hit=True, tier=tier)
+                    return value, True
 
+            if prepare is not None:
+                prepare()
             start = time.perf_counter()
             value = fn()
             elapsed = time.perf_counter() - start
@@ -390,12 +439,7 @@ class StageCache:
             stats.misses += 1
             obs.annotate(hit=False, tier="compute", run_s=elapsed)
             if self.enabled:
-                self._entries[key] = pack(value) if pack is not None else value
-                if pack is not None:
-                    self._remember_decoded(key, value)
-                if self.max_entries is not None:
-                    while len(self._entries) > self.max_entries:
-                        self._entries.popitem(last=False)
+                self._keep(stage_name, key, value, pack)
             return value, False
 
 

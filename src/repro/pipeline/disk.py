@@ -37,7 +37,19 @@ now counted in :attr:`CacheStats.store_failures` instead of vanishing.
 Lookups go memory first, then disk (populating memory), then compute.
 Both tiers count as cache *hits* in the stage counters; disk hits are
 additionally tallied per stage in :attr:`disk_hits` so sweeps can
-report how much crossed process boundaries.
+report how much crossed process boundaries.  A *hit-first* lookup (a
+scheduled node that needs its artifact only on a miss, see
+:meth:`~repro.pipeline.cache.StageCache.get_or_run`) verifies the same
+files a full read does - header and every segment against their
+sidecars - but decodes nothing, and remembers the verified key (up to
+:attr:`DiskStageCache.VERIFIED_MAX_ENTRIES`) so a warm process answers
+the next lookup of it from memory.
+
+Cell verdicts (the fingerprint/assessment memo of
+:meth:`~repro.pipeline.cache.StageCache.derived_get`) persist too, as
+verified entries of the :data:`DERIVED_STAGE` pseudo-stage, so a fresh
+process re-running a known cell reads one small entry instead of
+re-hashing and re-assessing its grids.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -64,6 +76,11 @@ QUARANTINE_DIR = "quarantine"
 #: by digest in workers (handle-passing), never counted as stage runs.
 ROOTS_STAGE = "__roots__"
 
+#: Pseudo-stage directory for persisted cell verdicts, keyed by
+#: :func:`~repro.pipeline.report.finalize_key`.  Never counted as stage
+#: runs.
+DERIVED_STAGE = "__derived__"
+
 
 class DiskStageCache(StageCache):
     """A :class:`StageCache` backed by content-addressed, hash-verified files.
@@ -79,6 +96,9 @@ class DiskStageCache(StageCache):
         in-memory tier, the disk tier is unbounded.
     """
 
+    #: Bound on keys remembered as verified by a hit-first lookup.
+    VERIFIED_MAX_ENTRIES = 1024
+
     def __init__(
         self,
         root: os.PathLike,
@@ -90,6 +110,11 @@ class DiskStageCache(StageCache):
         self.root.mkdir(parents=True, exist_ok=True)
         #: Per-stage count of hits served from disk (not memory).
         self.disk_hits: Dict[str, int] = {}
+        self._verified: "OrderedDict[str, None]" = OrderedDict()
+
+    def clear(self) -> None:
+        super().clear()
+        self._verified.clear()
 
     def _path(self, stage_name: str, key: str) -> Path:
         return self.root / stage_name / f"{key}.pkl"
@@ -115,7 +140,16 @@ class DiskStageCache(StageCache):
 
     # -- disk tier -----------------------------------------------------------
 
-    def _load(self, stage_name: str, key: str) -> Tuple[Any, bool]:
+    def _load(
+        self, stage_name: str, key: str, decode: bool = True
+    ) -> Tuple[Any, bool]:
+        """Read one verified entry: ``(value, found)``.
+
+        ``decode=False`` verifies exactly the files a full read does -
+        the header against its sidecar, then every segment the header
+        names against its own - but unpickles no value and maps no
+        segment, returning ``(None, True)`` for a sound entry.
+        """
         path = self._path(stage_name, key)
         faults.tamper_file(f"cache.load.{stage_name}", path)
         try:
@@ -125,6 +159,10 @@ class DiskStageCache(StageCache):
             return None, False
         try:
             self._verify(stage_name, key, data)
+            if not decode:
+                for index in range(payload.header_segments(data) or 0):
+                    self._verify_segment(stage_name, key, index)
+                return None, True
             obj = pickle.loads(data)
             if payload.is_segmented_header(obj):
                 value = self._load_segments(stage_name, key, obj)
@@ -147,6 +185,27 @@ class DiskStageCache(StageCache):
             obs.inc("cache.integrity_failures")
             return None, False
 
+    def _verify_segment(self, stage_name: str, key: str, index: int) -> Path:
+        """Hash one ``.npy`` segment against its sidecar; returns its path."""
+        seg = self._segment_path(stage_name, key, index)
+        faults.tamper_file(f"cache.load.{stage_name}", seg)
+        sidecar = Path(f"{seg}.sha256")
+        try:
+            expected = sidecar.read_text().strip()
+        except OSError as exc:
+            raise CacheIntegrityError(
+                str(seg), "segment digest sidecar missing"
+            ) from exc
+        actual = payload.hash_file(seg)
+        if actual != expected:
+            raise CacheIntegrityError(
+                str(seg),
+                f"segment sha256 mismatch "
+                f"(expected {expected[:12]}..., "
+                f"got {actual[:12]}...)",
+            )
+        return seg
+
     def _load_segments(self, stage_name: str, key: str, header: dict) -> Any:
         """Verify and memory-map every ``.npy`` segment of a header.
 
@@ -158,23 +217,7 @@ class DiskStageCache(StageCache):
         arrays = []
         mapped = 0
         for index in range(int(header["segments"])):
-            seg = self._segment_path(stage_name, key, index)
-            faults.tamper_file(f"cache.load.{stage_name}", seg)
-            sidecar = Path(f"{seg}.sha256")
-            try:
-                expected = sidecar.read_text().strip()
-            except OSError as exc:
-                raise CacheIntegrityError(
-                    str(seg), "segment digest sidecar missing"
-                ) from exc
-            actual = payload.hash_file(seg)
-            if actual != expected:
-                raise CacheIntegrityError(
-                    str(seg),
-                    f"segment sha256 mismatch "
-                    f"(expected {expected[:12]}..., "
-                    f"got {actual[:12]}...)",
-                )
+            seg = self._verify_segment(stage_name, key, index)
             array = payload.load_npy_mmap(seg)
             mapped += array.nbytes
             arrays.append(array)
@@ -322,56 +365,68 @@ class DiskStageCache(StageCache):
             obs.annotate(hit=True)
             return self._decode(key, stored, unpack), True
 
-    def get_or_run(
+    def _lookup(
         self,
         stage_name: str,
         key: str,
-        fn: Callable[[], Any],
-        pack: Optional[Callable[[Any], Any]] = None,
-        unpack: Optional[Callable[[Any], Any]] = None,
-    ) -> Tuple[Any, bool]:
-        """As :meth:`StageCache.get_or_run`; both tiers hold the packed
-        form, so packed stages also pickle eightfold smaller."""
-        stats = self.stats.stage(stage_name)
-        with obs.span("cache.get", stage=stage_name, key=key[:12]):
-            if self.enabled:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    stats.hits += 1
-                    if stats.misses:
-                        stats.saved_s += stats.run_s / stats.misses
-                    obs.annotate(hit=True, tier="memory")
-                    stored = self._entries[key]
-                    return self._decode(key, stored, unpack), True
-                stored, found = self._load(stage_name, key)
-                if found:
-                    stats.hits += 1
-                    self.disk_hits[stage_name] = self.disk_hits.get(stage_name, 0) + 1
-                    if stats.misses:
-                        stats.saved_s += stats.run_s / stats.misses
-                    obs.annotate(hit=True, tier="disk")
-                    self._remember(key, stored)
-                    return self._decode(key, stored, unpack), True
+        unpack: Optional[Callable[[Any], Any]],
+        decode: bool,
+    ) -> Tuple[Any, Optional[str]]:
+        """Memory, then verified disk.  Both tiers hold the packed form,
+        so packed stages also pickle eightfold smaller; a hit-first
+        (``decode=False``) disk hit is remembered as verified instead
+        of being read into memory."""
+        value, tier = super()._lookup(stage_name, key, unpack, decode)
+        if tier is not None:
+            return value, tier
+        if not decode and key in self._verified:
+            self._verified.move_to_end(key)
+            return None, "memory"
+        stored, found = self._load(stage_name, key, decode=decode)
+        if not found:
+            return None, None
+        self.disk_hits[stage_name] = self.disk_hits.get(stage_name, 0) + 1
+        if not decode:
+            self._verified[key] = None
+            while len(self._verified) > self.VERIFIED_MAX_ENTRIES:
+                self._verified.popitem(last=False)
+            return None, "disk"
+        self._remember(key, stored)
+        return self._decode(key, stored, unpack), "disk"
 
-            start = time.perf_counter()
-            value = fn()
-            elapsed = time.perf_counter() - start
-            stats.run_s += elapsed
-            stats.misses += 1
-            obs.annotate(hit=False, tier="compute", run_s=elapsed)
-            if self.enabled:
-                stored = pack(value) if pack is not None else value
-                self._remember(key, stored)
-                if pack is not None:
-                    self._remember_decoded(key, value)
-                self._store(stage_name, key, stored)
-            return value, False
+    def _keep(
+        self,
+        stage_name: str,
+        key: str,
+        value: Any,
+        pack: Optional[Callable[[Any], Any]],
+    ) -> Any:
+        stored = super()._keep(stage_name, key, value, pack)
+        self._store(stage_name, key, stored)
+        return stored
 
-    def _remember(self, key: str, value: Any) -> None:
-        self._entries[key] = value
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+    # -- persisted verdicts ---------------------------------------------------
+
+    def derived_get(self, key: str) -> Any:
+        """As :meth:`StageCache.derived_get`, falling back to the
+        verified :data:`DERIVED_STAGE` entry (a tampered one is
+        quarantined and reads as absent, so the verdict is recomputed).
+        """
+        value = super().derived_get(key)
+        if value is not None or not self.enabled:
+            return value
+        stored, found = self._load(DERIVED_STAGE, key)
+        if not found:
+            return None
+        super().derived_put(key, stored)
+        return stored
+
+    def derived_put(self, key: str, value: Any) -> None:
+        if not self.enabled:
+            return
+        super().derived_put(key, value)
+        if not self._path(DERIVED_STAGE, key).exists():
+            self._store(DERIVED_STAGE, key, value)
 
     # -- shared roots (handle-passing) --------------------------------------
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro import observability as obs
@@ -196,6 +196,7 @@ def run_stage(
     ctx: Any,
     cell: str,
     graph: Optional[StageGraph] = None,
+    prepare: Optional[Callable[[], None]] = None,
 ) -> Tuple[Any, bool, float]:
     """Execute one graph node; returns ``(artifact, cache_hit, seconds)``.
 
@@ -206,6 +207,11 @@ def run_stage(
     execution" means.  Exactly one ``cache.get`` span and one stage
     hit-or-miss is accounted per call - the invariant the observability
     layer's span-derived totals rely on.
+
+    ``prepare`` makes the execution hit-first (see
+    :meth:`~repro.pipeline.cache.StageCache.get_or_run`): it brings in
+    the stage's inputs and runs only on a miss, and a hit returns
+    ``None`` for the artifact.
     """
 
     def _compute():
@@ -222,7 +228,7 @@ def run_stage(
         try:
             value, hit = cache.get_or_run(
                 stage.name, digest, _compute,
-                pack=stage.pack, unpack=stage.unpack,
+                pack=stage.pack, unpack=stage.unpack, prepare=prepare,
             )
         except CellTimeout:
             # A wall-clock budget expiring mid-stage is a property of

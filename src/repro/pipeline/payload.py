@@ -27,7 +27,8 @@ exact inverse of ``extract`` given the segment arrays back in order.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, BinaryIO, List, Tuple
+import pickle
+from typing import Any, BinaryIO, List, Optional, Tuple
 
 import numpy as np
 
@@ -108,12 +109,51 @@ def restore_arrays(skeleton: Any, arrays: List[np.ndarray]) -> Any:
 
 
 def make_header(skeleton: Any, n_segments: int) -> dict:
-    """The small dict pickled at the legacy payload path."""
-    return {HEADER_MAGIC: 1, "skeleton": skeleton, "segments": n_segments}
+    """The small dict pickled at the legacy payload path.
+
+    The magic and the segment count come first, so the pickled bytes
+    open with both and :func:`header_segments` can read the count
+    without unpickling the skeleton.
+    """
+    return {HEADER_MAGIC: 1, "segments": n_segments, "skeleton": skeleton}
 
 
 def is_segmented_header(obj: Any) -> bool:
     return isinstance(obj, dict) and obj.get(HEADER_MAGIC) == 1
+
+
+#: How far into a pickled payload :func:`header_segments` looks for the
+#: magic key and the segment count.
+_PEEK_BYTES = 96
+_MAGIC_BYTES = HEADER_MAGIC.encode()
+#: ``"segments"`` as a protocol-4+ short string plus its MEMOIZE op.
+_COUNT_TAG = b"\x8c\x08segments\x94"
+
+
+def header_segments(data: bytes) -> Optional[int]:
+    """Segment count of pickled payload bytes; ``None`` for a plain pickle.
+
+    Lets a verify-only cache hit check every segment a header names
+    without unpickling the value: a plain pickle never carries the magic
+    key in its opening bytes, and a header written by
+    :func:`make_header` carries the count right after it (a ``K``/``M``
+    small-int opcode).  Anything else - a header from before the count
+    moved forward, another pickle protocol - falls back to unpickling
+    the header, which is always correct.
+    """
+    head = data[:_PEEK_BYTES]
+    if _MAGIC_BYTES not in head:
+        return None
+    at = head.find(_COUNT_TAG)
+    if at >= 0:
+        op = head[at + len(_COUNT_TAG):at + len(_COUNT_TAG) + 1]
+        arg = at + len(_COUNT_TAG) + 1
+        if op == b"K":
+            return head[arg]
+        if op == b"M" and arg + 2 <= len(head):
+            return int.from_bytes(head[arg:arg + 2], "little")
+    header = pickle.loads(data)
+    return int(header["segments"]) if is_segmented_header(header) else None
 
 
 class HashingWriter:

@@ -33,14 +33,15 @@ def outcome_fingerprint(outcome) -> str:
     G-code text and the firmware counters - enough that two runs with
     equal fingerprints produced the same physical print.  Arrays are
     hashed as canonical little-endian buffers (shape included), like
-    :func:`repro.mesh.content_hash.mesh_digest`; the grids go to the
-    hash through a memoryview of the contiguous buffer, not a
-    ``tobytes()`` copy.
+    :func:`repro.mesh.content_hash.mesh_digest`; a C-contiguous bool
+    grid goes to the hash as a ``uint8`` view of its own buffer (bool
+    is one 0/1 byte, exactly the ``<u1`` conversion), anything else
+    through that conversion - never a ``tobytes()`` copy.
     """
     h = hashlib.sha256()
     artifact = outcome.artifact
     for grid in (artifact.model, artifact.support, artifact.weak, artifact.voids):
-        a = np.ascontiguousarray(grid, dtype="<u1")
+        a = _grid_bytes(grid)
         h.update(np.array(a.shape, dtype="<i8").tobytes())
         h.update(memoryview(a))
     h.update(np.asarray(
@@ -52,6 +53,18 @@ def outcome_fingerprint(outcome) -> str:
         dtype="<f8",
     ).tobytes())
     return h.hexdigest()
+
+
+def _grid_bytes(grid) -> np.ndarray:
+    """``grid`` as a C-contiguous ``<u1`` array, copying only when the
+    buffer is not already one-byte 0/1 values in C order."""
+    if (
+        isinstance(grid, np.ndarray)
+        and grid.dtype == np.bool_
+        and grid.flags.c_contiguous
+    ):
+        return grid.view(np.uint8)
+    return np.ascontiguousarray(grid, dtype="<u1")
 
 
 def assess_identity(assess) -> Optional[str]:

@@ -17,6 +17,9 @@ Accounting invariants, relied on by the observability layer:
 * every node execution performs exactly one counted cache lookup (one
   ``cache.get`` span, one hit-or-miss), so per-stage totals equal the
   number of node executions in both serial and parallel runs;
+* the lookup is *hit-first*: a node whose artifact is cached costs one
+  verified lookup and decodes nothing - its inputs are materialized
+  only on a miss;
 * *input materialization* uses the uncounted
   :meth:`~repro.pipeline.cache.StageCache.fetch` API - an artifact
   being re-read as someone's input is not a stage execution.  Should a
@@ -28,6 +31,7 @@ Accounting invariants, relied on by the observability layer:
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -132,7 +136,8 @@ def execute_node(
     retry: RetryPolicy,
     timeout_s: Optional[float],
 ) -> NodeRecord:
-    """Run one graph node (materialize inputs, execute, record).
+    """Run one graph node hit-first (look up, else materialize inputs
+    and execute) and record it.
 
     Retry and the wall-clock budget wrap the whole attempt, inputs
     included; raises after the policy is exhausted.
@@ -140,17 +145,18 @@ def execute_node(
     stage = chain.graph.by_name[stage_name]
     materializer = _Materializer(chain, cache, ctx, digests, cell)
 
+    def prepare():
+        for name in stage.inputs:
+            materializer.ensure(name)
+
     def attempt():
         with time_limit(timeout_s, what=f"cell {cell}"):
-            for name in stage.inputs:
-                materializer.ensure(name)
             return run_stage(
-                cache, stage, digest, ctx, cell, graph=chain.graph
+                cache, stage, digest, ctx, cell, graph=chain.graph,
+                prepare=prepare,
             )
 
-    (value, hit, seconds), attempts = retry.call(attempt)
-    ctx.artifacts.set(stage_name, value)
-    materializer._have.add(stage_name)
+    (_, hit, seconds), attempts = retry.call(attempt)
     return NodeRecord(stage_name, digest, hit, seconds, attempts)
 
 
@@ -246,9 +252,14 @@ def execute_finalize(
 #: repeat input fetches without touching disk).
 _WORKER_CACHES: Dict[str, DiskStageCache] = {}
 
-#: Per-process memo of resolved root models, keyed by content digest -
-#: a worker deserializes the shared model once, not once per task.
-_MODEL_MEMO: Dict[str, Any] = {}
+#: Bound on :data:`_MODEL_MEMO`: a warm pool worker serving many
+#: tenants' seeds keeps only the most recently used models.
+MODEL_MEMO_MAX_ENTRIES = 8
+
+#: Per-process LRU memo of resolved root models, keyed by content
+#: digest - a worker deserializes the shared model once, not once per
+#: task.
+_MODEL_MEMO: "OrderedDict[str, Any]" = OrderedDict()
 
 
 def _worker_cache(cache_dir: str) -> DiskStageCache:
@@ -271,14 +282,18 @@ def _resolve_model(model_ref: Tuple[str, Any], cache) -> Any:
     if kind == "inline":
         return value
     model = _MODEL_MEMO.get(value)
+    if model is not None:
+        _MODEL_MEMO.move_to_end(value)
+        return model
+    model = cache.get_root(value)
     if model is None:
-        model = cache.get_root(value)
-        if model is None:
-            raise PipelineError(
-                f"shared model root {value[:12]}... is missing from the "
-                f"cache (store failed or entry was quarantined)"
-            )
-        _MODEL_MEMO[value] = model
+        raise PipelineError(
+            f"shared model root {value[:12]}... is missing from the "
+            f"cache (store failed or entry was quarantined)"
+        )
+    _MODEL_MEMO[value] = model
+    while len(_MODEL_MEMO) > MODEL_MEMO_MAX_ENTRIES:
+        _MODEL_MEMO.popitem(last=False)
     return model
 
 

@@ -9,7 +9,7 @@ crossings scanline-by-scanline.
 
 This module computes all contour-edge x scanline crossings in one
 broadcast NumPy pass and fills the even-odd parity spans with a
-difference-array cumulative sum, so a whole layer - or a whole layer
+sorted-interval merge and one XOR scan, so a whole layer - or a whole layer
 *stack* - rasterizes in a handful of array operations.  The kernel is
 bit-identical to the scalar path by construction:
 
@@ -101,6 +101,25 @@ def _pair_crossings(
     return rows_sorted[in_idx[keep]], x_in[keep], x_out[keep]
 
 
+def _clipped_spans(
+    span_rows: np.ndarray,
+    x_in: np.ndarray,
+    x_out: np.ndarray,
+    x0: float,
+    nx: int,
+    cell: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Span endpoints as cell indices ``[lo, hi)``, clipped to the frame;
+    spans wholly outside it are dropped."""
+    i0 = np.floor((x_in - x0) / cell)
+    i1 = np.ceil((x_out - x0) / cell)
+    inside = (i1 > 0) & (i0 < nx)
+    rows = span_rows[inside]
+    lo = np.clip(i0[inside], 0, nx).astype(np.intp)
+    hi = np.clip(i1[inside], 0, nx).astype(np.intp)
+    return rows, lo, hi
+
+
 def fill_spans(
     span_rows: np.ndarray,
     x_in: np.ndarray,
@@ -114,20 +133,57 @@ def fill_spans(
 
     A span fills cells ``floor((x_in - x0)/cell)`` up to (exclusive)
     ``ceil((x_out - x0)/cell)``, clipped to the frame - identical to the
-    scalar fill.  Overlapping spans union, via a per-row difference
-    array whose row-wise cumulative sum marks covered cells.
+    scalar fill.  Overlapping spans union: the ``[lo, hi)`` intervals
+    are sorted and merged per row (a running maximum of interval ends
+    over a flat ``row * (nx + 1) + x`` index), each merged interval
+    toggles a bool array at its two ends, and one XOR scan fills
+    between them - no scatter-add and no integer prefix sum over the
+    whole raster.  :func:`_fill_spans_add_at` is the retained oracle.
     """
+    if span_rows.size == 0:
+        return np.zeros((n_rows, nx), dtype=bool)
+    rows, lo, hi = _clipped_spans(span_rows, x_in, x_out, x0, nx, cell)
+    if rows.size == 0:
+        return np.zeros((n_rows, nx), dtype=bool)
+    width = nx + 1  # one spare column: an interval may end at x = nx
+    starts = rows * width + lo
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    reach = np.maximum.accumulate((rows * width + hi)[order])
+    # An interval opens a new merged run unless it begins inside (or
+    # right at the end of) everything before it; rows never merge,
+    # since a row's ends stay below the next row's first index.
+    opens = np.ones(starts.size, dtype=bool)
+    np.greater(starts[1:], reach[:-1], out=opens[1:])
+    first = np.nonzero(opens)[0]
+    last = np.append(first[1:] - 1, starts.size - 1)
+    toggle = np.zeros(n_rows * width, dtype=bool)
+    toggle[starts[first]] = True
+    # Run ends are distinct and never another run's start; an empty
+    # run (start == end) toggles twice and stays unfilled.
+    toggle[reach[last]] ^= True
+    filled = np.logical_xor.accumulate(toggle)
+    return np.ascontiguousarray(filled.reshape(n_rows, width)[:, :nx])
+
+
+def _fill_spans_add_at(
+    span_rows: np.ndarray,
+    x_in: np.ndarray,
+    x_out: np.ndarray,
+    x0: float,
+    nx: int,
+    cell: float,
+    n_rows: int,
+) -> np.ndarray:
+    """Scatter-add oracle of :func:`fill_spans`: a per-row difference
+    array (``np.add.at``) whose row-wise cumulative sum marks covered
+    cells."""
     grid = np.zeros((n_rows, nx), dtype=bool)
     if span_rows.size == 0:
         return grid
-    i0 = np.floor((x_in - x0) / cell)
-    i1 = np.ceil((x_out - x0) / cell)
-    inside = (i1 > 0) & (i0 < nx)
-    if not np.any(inside):
+    rows, lo, hi = _clipped_spans(span_rows, x_in, x_out, x0, nx, cell)
+    if rows.size == 0:
         return grid
-    rows = span_rows[inside]
-    lo = np.clip(i0[inside], 0, nx).astype(np.intp)
-    hi = np.clip(i1[inside], 0, nx).astype(np.intp)
     delta = np.zeros((n_rows, nx + 1), dtype=np.int32)
     np.add.at(delta, (rows, lo), 1)
     np.add.at(delta, (rows, hi), -1)
@@ -189,7 +245,7 @@ def rasterize_stack(
     All layers share the scanline grid, so every layer's edges are
     batched into a single crossing computation: edge j of layer iz
     crossing scanline iy lands in flat row ``iz * ny + iy``, and one
-    difference-array fill paints the entire volume.
+    span fill paints the entire volume.
     """
     nz = len(layer_contours)
     if nz == 0:

@@ -24,6 +24,7 @@ from repro.pipeline.payload import (
     SEGMENT_MIN_BYTES,
     extract_arrays,
     hash_file,
+    header_segments,
     is_segmented_header,
     load_npy_mmap,
     make_header,
@@ -203,6 +204,33 @@ class TestHeader:
     ])
     def test_non_headers_rejected(self, obj):
         assert not is_segmented_header(obj)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 255, 256, 65535, 65536])
+    def test_segment_count_read_without_unpickling(self, n):
+        data = pickle.dumps(
+            make_header({"lines": ["G1 X1"] * 50}, n),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        assert header_segments(data) == n
+
+    @pytest.mark.parametrize("data", [
+        # Count after the skeleton (the layout before the count moved
+        # forward) and an old pickle protocol: read by unpickling.
+        pickle.dumps(
+            {HEADER_MAGIC: 1, "skeleton": {"k": 1}, "segments": 3},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ),
+        pickle.dumps(make_header({"k": 1}, 3), protocol=2),
+    ])
+    def test_segment_count_fallback(self, data):
+        assert header_segments(data) == 3
+
+    @pytest.mark.parametrize("value", [
+        "plain", {"skeleton": 1, "segments": 2}, [HEADER_MAGIC, 1],
+    ])
+    def test_plain_pickles_have_no_segments(self, value):
+        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        assert header_segments(data) is None
 
 
 class TestNpySegmentIO:

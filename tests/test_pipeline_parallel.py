@@ -8,8 +8,10 @@ serial sweep; the workers' shared :class:`DiskStageCache` must survive
 process and run boundaries.
 """
 
+import hashlib
 import pickle
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -362,6 +364,80 @@ class TestArtifactCodec:
             firmware = outcome.firmware
 
         assert outcome_fingerprint(_Shim()) == before
+
+
+def _fingerprint_by_conversion(outcome):
+    """The fingerprint computed the way it was before bool grids were
+    hashed through a zero-copy view: every grid converted with
+    ``np.ascontiguousarray(grid, dtype="<u1")``."""
+    h = hashlib.sha256()
+    artifact = outcome.artifact
+    for grid in (artifact.model, artifact.support, artifact.weak, artifact.voids):
+        a = np.ascontiguousarray(grid, dtype="<u1")
+        h.update(np.array(a.shape, dtype="<i8").tobytes())
+        h.update(memoryview(a))
+    h.update(np.asarray(
+        [artifact.cell_mm, artifact.layer_height_mm], dtype="<f8"
+    ).tobytes())
+    h.update("\n".join(outcome.gcode.lines).encode())
+    h.update(np.asarray(
+        [outcome.firmware.executed_moves, outcome.firmware.total_extrusion_e],
+        dtype="<f8",
+    ).tobytes())
+    return h.hexdigest()
+
+
+class TestFingerprintGrids:
+    """The zero-copy bool view must hash exactly what the conversion did."""
+
+    @staticmethod
+    def _with_grids(outcome, convert):
+        artifact = outcome.artifact
+        grids = types.SimpleNamespace(
+            model=convert(artifact.model),
+            support=convert(artifact.support),
+            weak=convert(artifact.weak),
+            voids=convert(artifact.voids),
+            cell_mm=artifact.cell_mm,
+            layer_height_mm=artifact.layer_height_mm,
+        )
+        return types.SimpleNamespace(
+            artifact=grids, gcode=outcome.gcode, firmware=outcome.firmware
+        )
+
+    @staticmethod
+    def _strided(grid):
+        wide = np.zeros(grid.shape[:-1] + (2 * grid.shape[-1],), grid.dtype)
+        wide[..., ::2] = grid
+        view = wide[..., ::2]
+        assert not view.flags.c_contiguous
+        return view
+
+    def test_contiguous_bool_grids(self, split_coarse_xy):
+        assert split_coarse_xy.artifact.model.dtype == np.bool_
+        assert split_coarse_xy.artifact.model.flags.c_contiguous
+        assert outcome_fingerprint(split_coarse_xy) == (
+            _fingerprint_by_conversion(split_coarse_xy)
+        )
+
+    @pytest.mark.parametrize("convert", [
+        np.asfortranarray,
+        "strided",
+        lambda g: g.astype(np.uint8),
+        lambda g: g.astype(np.int64) * 3,
+        lambda g: g.astype(np.float32),
+    ], ids=["fortran", "strided", "uint8", "int64", "float32"])
+    def test_other_layouts_match_the_conversion(self, split_coarse_xy, convert):
+        if convert == "strided":
+            convert = self._strided
+        shim = self._with_grids(split_coarse_xy, convert)
+        assert outcome_fingerprint(shim) == _fingerprint_by_conversion(shim)
+
+    def test_layout_does_not_change_a_bool_digest(self, split_coarse_xy):
+        expected = outcome_fingerprint(split_coarse_xy)
+        for convert in (np.asfortranarray, self._strided):
+            shim = self._with_grids(split_coarse_xy, convert)
+            assert outcome_fingerprint(shim) == expected
 
 
 class TestSweepCli:

@@ -8,6 +8,8 @@ same cell snapping.  Every test here holds the vectorized path equal -
 * :func:`rasterize_contours` vs. :func:`rasterize_contours_reference`;
 * :func:`scanline_spans_batch` vs. per-``y`` :func:`region_spans`;
 * :func:`rasterize_stack` vs. per-layer :func:`rasterize_frame`;
+* the merge-and-XOR :func:`fill_spans` vs. its scatter-add oracle
+  ``_fill_spans_add_at``;
 * the shift-kernel bead-merge morphology vs. scipy's
   ``binary_closing`` / ``binary_fill_holes``;
 * :func:`repro.slicer.slicer._plane_segments` vs. per-triangle
@@ -239,6 +241,53 @@ class TestRasterizeStack:
         stack = rasterize_stack([[], []], np.zeros(2), 4, 3, 1.0)
         assert stack.shape == (2, 3, 4)
         assert not stack.any()
+
+
+@st.composite
+def span_sets(draw):
+    """Unsorted, overlapping, touching, empty and out-of-frame spans."""
+    n_rows = draw(st.integers(1, 6))
+    nx = draw(st.integers(1, 24))
+    n = draw(st.integers(0, 30))
+    coord = st.floats(-6.0, 18.0, allow_nan=False)
+    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+    x_in = draw(st.lists(coord, min_size=n, max_size=n))
+    width = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 12.0)), min_size=n, max_size=n
+    ))
+    x0 = draw(st.floats(-2.0, 2.0))
+    cell = draw(st.sampled_from([0.25, 0.5, 1.0, 0.3]))
+    return (
+        np.asarray(rows, dtype=np.intp),
+        np.asarray(x_in, dtype=float),
+        np.asarray(x_in, dtype=float) + np.asarray(width, dtype=float),
+        x0, nx, cell, n_rows,
+    )
+
+
+class TestFillSpans:
+    """fill_spans (sort, merge, XOR scan) == the scatter-add oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(span_sets())
+    def test_matches_add_at_oracle(self, args):
+        fast = raster.fill_spans(*args)
+        slow = raster._fill_spans_add_at(*args)
+        assert fast.dtype == slow.dtype == np.bool_
+        assert fast.shape == slow.shape
+        assert fast.flags.c_contiguous
+        assert np.array_equal(fast, slow)
+
+    def test_overlapping_and_touching_spans_union(self):
+        rows = np.array([0, 0, 0, 1, 1])
+        x_in = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
+        x_out = np.array([7.0, 3.0, 4.0, 2.0, 9.0])
+        grid = raster.fill_spans(rows, x_in, x_out, 0.0, 8, 1.0, 2)
+        assert grid[0].tolist() == [0, 1, 1, 1, 0, 1, 1, 0]
+        assert grid[1].tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert np.array_equal(
+            grid, raster._fill_spans_add_at(rows, x_in, x_out, 0.0, 8, 1.0, 2)
+        )
 
 
 @pytest.fixture(scope="module")
